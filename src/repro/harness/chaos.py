@@ -27,12 +27,10 @@ the direct path from the recorded cells.
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 from repro.errors import ParameterError
 from repro.harness.runner import run_experiment
 from repro.obs.baseline import _series_totals
+from repro.obs.gate import SCHEMA_VERSION, Doc
 from repro.obs.runident import run_identity
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import FaultPlan, RetryPolicy, use_fault_plan
@@ -46,13 +44,9 @@ __all__ = [
     "spec_for_experiments",
     "sweep_from_registry",
     "recorded_sweep_degraded_fleet",
-    "write_sweep",
-    "read_sweep",
+    "SWEEP_DOC",
     "render_sweep_text",
 ]
-
-#: Version stamped into every sweep document.
-SCHEMA_VERSION = 1
 
 #: The paper's headline experiments: fig1 microbenchmarks + fig2 workloads.
 DEFAULT_SWEEP_EXPERIMENTS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig2c")
@@ -326,40 +320,12 @@ def recorded_sweep_degraded_fleet(
     return sweep_from_registry(registry, ids)
 
 
-# -- persistence ------------------------------------------------------------
-
-
-def _validate_sweep(doc, source: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParameterError(f"{source}: sweep document must be a JSON object")
-    schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ParameterError(
-            f"{source}: unsupported faults-sweep schema {schema!r} "
-            f"(this build reads version {SCHEMA_VERSION}); "
-            "re-record with 'repro faults sweep'"
-        )
-    if not isinstance(doc.get("experiments"), dict):
-        raise ParameterError(f"{source}: sweep document missing 'experiments'")
-    return doc
-
-
-def write_sweep(doc: dict, path) -> None:
-    """Write one sweep document as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def read_sweep(path) -> dict:
-    """Read and schema-validate a sweep document."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ParameterError(
-            f"no faults sweep at {path}; record one with "
-            "'repro faults sweep -o <file>'"
-        )
-    return _validate_sweep(json.loads(path.read_text()), str(path))
+#: What a sweep document (``repro faults sweep -o``) must carry.
+SWEEP_DOC = Doc(
+    name="faults sweep",
+    key="experiments",
+    record_hint="repro faults sweep -o <file>",
+)
 
 
 def render_sweep_text(doc: dict) -> str:

@@ -62,10 +62,13 @@ Subcommands:
 
 Installed as both ``repro-experiments`` and the shorter ``repro``.
 
-Exit codes: 0 success, 1 failure (a failed experiment, a tripped perf
+Exit codes: 0 success, 1 failure (a failed experiment, a tripped
 gate), :data:`EXIT_DATA` (2) when required recorded data — a baseline,
 the run history — is missing or empty, so scripts can tell "nothing
-recorded yet" from "something regressed".
+recorded yet" from "something regressed", and :data:`EXIT_ERROR` (3)
+when the library refuses the command with a typed error (an unknown
+experiment or kernel id, an invalid parameter), printed as one line on
+stderr instead of a traceback.
 
 Setting ``REPRO_TRACE`` (see :func:`repro.obs.configure_from_env`)
 enables tracing for *any* subcommand and flushes at process exit.
@@ -74,7 +77,9 @@ enables tracing for *any* subcommand and flushes at process exit.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from typing import Callable, NamedTuple
 
 from repro.backends import get_backend
 from repro.backends.registry import BACKEND_ORDER
@@ -84,6 +89,12 @@ from repro.harness.report import format_experiment, render_markdown_report
 #: Exit status for "the recorded data this command needs does not
 #: exist (yet)" — distinct from 1, which means a real failure.
 EXIT_DATA = 2
+
+#: Exit status for a command the library refused with a typed error
+#: (:class:`~repro.errors.ReproError`: an unknown experiment or kernel
+#: id, an invalid parameter, ...), reported as one line on stderr —
+#: distinct from a tripped gate (1) and from missing data (2).
+EXIT_ERROR = 3
 
 
 def _cmd_list(_args) -> int:
@@ -121,13 +132,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = render_markdown_report(args.ids or None)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(report)
-        print(f"wrote {args.output}")
-    else:
-        print(report)
+    _emit(render_markdown_report(args.ids or None), args.output)
     return 0
 
 
@@ -161,45 +166,18 @@ def _cmd_obs(args) -> int:
     return status
 
 
-def _progress(eid: str) -> None:
-    print(f"  recording {eid} ...", file=sys.stderr)
+def _progress(label: str) -> None:
+    print(f"  recording {label} ...", file=sys.stderr)
 
 
-def _cmd_perf_record(args) -> int:
-    """Capture a baseline run and append it to the history."""
-    from repro.obs import baseline as bl
-
-    doc = bl.capture_run(
-        args.ids or None, repeats=args.repeats, progress=_progress
-    )
-    bl.write_run(doc, args.baseline)
-    bl.append_history(doc, args.history)
-    print(
-        f"recorded {len(doc['experiments'])} experiments as run "
-        f"{doc['run_id'][:12]} (git {str(doc['git_sha'])[:12]})"
-    )
-    print(f"baseline written to {args.baseline}; history at {args.history}")
-    return 0
-
-
-def _cmd_perf_check(args) -> int:
-    """Re-run and compare against the baseline; non-zero on failure."""
-    from repro.obs import baseline as bl
-    from repro.obs import perf
-
-    baseline, status = _load_recorded(bl.read_run, args.baseline)
-    if baseline is None:
-        return status
-    ids = args.ids or list(baseline["experiments"])
-    current = bl.capture_run(ids, repeats=args.repeats, progress=_progress)
-    bl.append_history(current, args.history)
-    verdicts = perf.check_runs(baseline, current, skip_wall=args.skip_wall)
-    print(perf.render_check(verdicts, baseline, current))
-    if args.update:
-        bl.write_run(current, args.baseline)
-        print(f"baseline re-recorded: {args.baseline}")
-        return 0
-    return perf.exit_code(verdicts)
+def _emit(document: str, output) -> None:
+    """Write a rendered document to ``output``, or print it."""
+    if output:
+        with open(output, "w") as handle:
+            handle.write(document)
+        print(f"wrote {output}")
+    else:
+        print(document)
 
 
 def _no_data(message: str, hint: str = "repro perf record") -> int:
@@ -211,12 +189,12 @@ def _no_data(message: str, hint: str = "repro perf record") -> int:
 def _load_recorded(loader, *args, hint: str = "repro perf record"):
     """Load recorded data under the EXIT_DATA convention.
 
-    Every subcommand that *reads* recorded artifacts (perf baselines,
-    noise calibrations, fault sweeps, serving sweeps, the run registry)
-    shares one failure mode — "the data this command needs was never
-    recorded" — reported identically: the loader's
-    :class:`~repro.errors.ParameterError` message plus a record-it-first
-    hint on stderr, exit status :data:`EXIT_DATA`, never a traceback.
+    Every subcommand that *reads* recorded artifacts (gate baselines,
+    fault sweeps, serving sweeps, the run registry) shares one failure
+    mode — "the data this command needs was never recorded" — reported
+    identically: the loader's :class:`~repro.errors.ParameterError`
+    message plus a record-it-first hint on stderr, exit status
+    :data:`EXIT_DATA`, never a traceback.
 
     Returns ``(value, None)`` on success or ``(None, status)`` after
     reporting; callers return ``status`` when ``value`` is ``None``.
@@ -229,52 +207,92 @@ def _load_recorded(loader, *args, hint: str = "repro perf record"):
         return None, _no_data(str(exc), hint=hint)
 
 
-def _cmd_perf_diff(args) -> int:
-    """Attribution diff between two recorded runs."""
-    from repro.obs import baseline as bl
-    from repro.obs import perf
+# -- the gates: repro perf|noise|energy|resil ------------------------------
 
-    if not bl.read_history(args.history):
-        return _no_data(
-            f"no run history at {args.history} (missing or empty)"
-        )
-    run_a, status = _load_recorded(bl.find_run, args.run_a, args.history)
-    if run_a is None:
-        return status
-    run_b, status = _load_recorded(bl.find_run, args.run_b, args.history)
-    if run_b is None:
-        return status
-    print(perf.render_diff(run_a, run_b, top_k=args.top))
+
+def _cmd_gate_record(gate, args) -> int:
+    """Capture a gate's baseline and append it to the history."""
+    from repro.obs.gate import append_history, write_doc
+
+    doc = gate.capture(args, None, _progress)
+    write_doc(doc, args.baseline)
+    append_history(doc, args.history)
+    print(
+        f"{gate.summary(doc)} as run {doc['run_id'][:12]} "
+        f"(git {str(doc['git_sha'])[:12]})"
+    )
+    print(f"baseline written to {args.baseline}; history at {args.history}")
     return 0
 
 
-def _cmd_perf_html(args) -> int:
-    """Render the run history as a self-contained HTML dashboard."""
+def _cmd_gate_check(gate, args) -> int:
+    """Re-capture what the baseline recorded and gate against it."""
+    from repro.obs.gate import (
+        append_history,
+        exit_code,
+        read_doc,
+        render_check,
+        write_doc,
+    )
+
+    baseline, status = _load_recorded(
+        read_doc, args.baseline, gate, hint=gate.record_hint
+    )
+    if baseline is None:
+        return status
+    current = gate.capture(args, baseline, _progress)
+    append_history(current, args.history)
+    verdicts = gate.compare(baseline, current, args)
+    print(render_check(gate, verdicts, baseline, current))
+    if args.update:
+        write_doc(current, args.baseline)
+        print(f"baseline re-recorded: {args.baseline}")
+        return 0
+    return exit_code(verdicts)
+
+
+def _cmd_gate_report(gate, args) -> int:
+    """Render a gate's recorded runs as a standalone HTML report."""
     import os
 
-    from repro.obs import baseline as bl
-    from repro.obs import htmlreport
+    from repro.obs.gate import read_doc, read_history
 
-    history = bl.read_history(args.history)
+    history = read_history(args.history, gate)
     baseline = (
-        bl.read_run(args.baseline)
+        read_doc(args.baseline, gate)
         if os.path.exists(args.baseline)
         else None
     )
     if not history and baseline is None:
         return _no_data(
-            f"no run history at {args.history} and no baseline at "
-            f"{args.baseline} — nothing to render"
+            f"no {gate.name} history at {args.history} and no baseline at "
+            f"{args.baseline} — nothing to render",
+            hint=gate.record_hint,
         )
-    document = htmlreport.render_dashboard(
-        history, baseline, skip_wall=args.skip_wall
+    _emit(_GATE_CLI[gate.name].render(history, baseline, args), args.output)
+    return 0
+
+
+def _cmd_perf_diff(args) -> int:
+    """Attribution diff between two recorded runs."""
+    from repro.obs import perf
+    from repro.obs.gate import find_run, read_history
+
+    if not read_history(args.history, perf.GATE):
+        return _no_data(
+            f"no run history at {args.history} (missing or empty)"
+        )
+    run_a, status = _load_recorded(
+        find_run, args.run_a, args.history, perf.GATE
     )
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
+    if run_a is None:
+        return status
+    run_b, status = _load_recorded(
+        find_run, args.run_b, args.history, perf.GATE
+    )
+    if run_b is None:
+        return status
+    print(perf.render_diff(run_a, run_b, top_k=args.top))
     return 0
 
 
@@ -282,13 +300,14 @@ def _cmd_why(args) -> int:
     """Drift forensics for one experiment against a recorded baseline."""
     import os
 
-    from repro.obs import baseline as bl
     from repro.obs import energy as en
     from repro.obs import forensics as fx
     from repro.obs import htmlreport
+    from repro.obs.gate import find_run, read_doc, read_history
+    from repro.obs.perf import GATE as PERF
 
     baseline_run, status = _load_recorded(
-        bl.find_run, args.against, args.history
+        find_run, args.against, args.history, PERF
     )
     if baseline_run is None:
         return status
@@ -298,7 +317,7 @@ def _cmd_why(args) -> int:
             hint=f"repro perf record {args.experiment}",
         )
     energy_baseline = (
-        en.read_energy_run(args.energy_baseline)
+        read_doc(args.energy_baseline, en.GATE)
         if os.path.exists(args.energy_baseline)
         else None
     )
@@ -306,8 +325,8 @@ def _cmd_why(args) -> int:
         args.experiment,
         baseline_run,
         energy_baseline=energy_baseline,
-        history=bl.read_history(args.history),
-        energy_history=en.read_energy_history(args.energy_history),
+        history=read_history(args.history, PERF),
+        energy_history=read_history(args.energy_history, en.GATE),
         top_k=args.top,
     )
     print(fx.render_why(report))
@@ -327,15 +346,16 @@ def _cmd_why(args) -> int:
 
 def _cmd_forensics_html(args) -> int:
     """Differential flamegraph report between two recorded runs."""
-    from repro.obs import baseline as bl
     from repro.obs import forensics as fx
     from repro.obs import htmlreport
+    from repro.obs.gate import find_run, read_history
+    from repro.obs.perf import GATE as PERF
 
-    run_a, status = _load_recorded(bl.find_run, args.run_a, args.history)
+    run_a, status = _load_recorded(find_run, args.run_a, args.history, PERF)
     if run_a is None:
         return status
     if args.run_b == "latest":
-        history = bl.read_history(args.history)
+        history = read_history(args.history, PERF)
         if not history:
             return _no_data(
                 f"no run history at {args.history} (missing or empty)"
@@ -343,20 +363,14 @@ def _cmd_forensics_html(args) -> int:
         run_b = history[-1]
     else:
         run_b, status = _load_recorded(
-            bl.find_run, args.run_b, args.history
+            find_run, args.run_b, args.history, PERF
         )
         if run_b is None:
             return status
     report = fx.diff_report(
         run_a, run_b, experiments=args.ids or None, top_k=args.top
     )
-    document = htmlreport.render_forensics_report(report)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
+    _emit(htmlreport.render_forensics_report(report), args.output)
     if args.collapsed:
         with open(args.collapsed, "w") as handle:
             for eid in sorted(report["experiments"]):
@@ -375,22 +389,23 @@ def _cmd_forensics_shifts(args) -> int:
     import os
 
     from repro.errors import ParameterError
-    from repro.obs import baseline as bl
     from repro.obs import energy as en
     from repro.obs import forensics as fx
     from repro.obs import noisegate as ng
+    from repro.obs.gate import read_history
+    from repro.obs.perf import GATE as PERF
 
     series: dict = {}
     sources = []
-    perf_history = bl.read_history(args.history)
+    perf_history = read_history(args.history, PERF)
     if perf_history:
         series.update(fx.perf_series(perf_history))
         sources.append(f"perf:{args.history}")
-    energy_history = en.read_energy_history(args.energy_history)
+    energy_history = read_history(args.energy_history, en.GATE)
     if energy_history:
         series.update(fx.energy_series(energy_history))
         sources.append(f"energy:{args.energy_history}")
-    noise_history = ng.read_noise_history(args.noise_history)
+    noise_history = read_history(args.noise_history, ng.GATE)
     if noise_history:
         series.update(fx.noise_series(noise_history))
         sources.append(f"noise:{args.noise_history}")
@@ -417,153 +432,6 @@ def _cmd_forensics_shifts(args) -> int:
         with open(args.json, "w") as handle:
             _json.dump(shifts, handle, indent=1, sort_keys=True)
         print(f"wrote {args.json}")
-    return 0
-
-
-def _cmd_noise_record(args) -> int:
-    """Capture the noise-calibration baseline and append the history."""
-    from repro.obs import noisegate as ng
-
-    doc = ng.capture_noise_run(
-        levels=args.levels or None, seed=args.seed, progress=_progress
-    )
-    ng.write_noise_run(doc, args.baseline)
-    ng.append_noise_history(doc, args.history)
-    trajectories = sum(
-        len(level["workloads"]) for level in doc["levels"].values()
-    )
-    print(
-        f"recorded {trajectories} noise trajectories over "
-        f"{len(doc['levels'])} security levels as run "
-        f"{doc['run_id'][:12]} (git {str(doc['git_sha'])[:12]})"
-    )
-    print(f"baseline written to {args.baseline}; history at {args.history}")
-    return 0
-
-
-def _cmd_noise_check(args) -> int:
-    """Re-run the trajectories and gate against the calibration baseline."""
-    from repro.obs import noisegate as ng
-
-    baseline, status = _load_recorded(
-        ng.read_noise_run, args.baseline, hint="repro noise record"
-    )
-    if baseline is None:
-        return status
-    levels = args.levels or [int(bits) for bits in baseline["levels"]]
-    current = ng.capture_noise_run(
-        levels=levels, seed=baseline.get("seed", 7), progress=_progress
-    )
-    ng.append_noise_history(current, args.history)
-    verdicts = ng.check_noise_runs(baseline, current)
-    print(ng.render_noise_check(verdicts, baseline, current))
-    if args.update:
-        ng.write_noise_run(current, args.baseline)
-        print(f"calibration baseline re-recorded: {args.baseline}")
-        return 0
-    return ng.exit_code(verdicts)
-
-
-def _cmd_noise_report(args) -> int:
-    """Render the newest recorded noise run as a standalone HTML report."""
-    import os
-
-    from repro.obs import htmlreport
-    from repro.obs import noisegate as ng
-
-    history = ng.read_noise_history(args.history)
-    baseline = (
-        ng.read_noise_run(args.baseline)
-        if os.path.exists(args.baseline)
-        else None
-    )
-    current = history[-1] if history else baseline
-    if current is None:
-        return _no_data(
-            f"no noise history at {args.history} and no baseline at "
-            f"{args.baseline} — nothing to render",
-            hint="repro noise record",
-        )
-    document = htmlreport.render_noise_report(current, baseline)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
-    return 0
-
-
-def _cmd_energy_record(args) -> int:
-    """Capture the modelled-energy baseline and append the history."""
-    from repro.obs import energy as en
-
-    doc = en.capture_energy_run(ids=args.ids or None, progress=_progress)
-    en.write_energy_run(doc, args.baseline)
-    en.append_energy_history(doc, args.history)
-    total_j = sum(
-        exp["joules"].get("pim", 0.0) for exp in doc["experiments"].values()
-    )
-    print(
-        f"recorded modelled energy for {len(doc['experiments'])} "
-        f"experiments ({total_j:.4g} J on pim) as run "
-        f"{doc['run_id'][:12]} (git {str(doc['git_sha'])[:12]})"
-    )
-    print(f"baseline written to {args.baseline}; history at {args.history}")
-    return 0
-
-
-def _cmd_energy_check(args) -> int:
-    """Re-price the experiments and gate against the energy baseline."""
-    from repro.obs import energy as en
-
-    baseline, status = _load_recorded(
-        en.read_energy_run, args.baseline, hint="repro energy record"
-    )
-    if baseline is None:
-        return status
-    current = en.capture_energy_run(
-        ids=list(baseline["experiments"]), progress=_progress
-    )
-    en.append_energy_history(current, args.history)
-    verdicts = en.check_energy_runs(baseline, current)
-    print(en.render_energy_check(verdicts, baseline, current))
-    if args.update:
-        en.write_energy_run(current, args.baseline)
-        print(f"energy baseline re-recorded: {args.baseline}")
-        return 0
-    return en.exit_code(verdicts)
-
-
-def _cmd_energy_report(args) -> int:
-    """Render the newest recorded energy run as a standalone HTML report."""
-    import os
-
-    from repro.obs import energy as en
-    from repro.obs import htmlreport
-
-    history = en.read_energy_history(args.history)
-    baseline = (
-        en.read_energy_run(args.baseline)
-        if os.path.exists(args.baseline)
-        else None
-    )
-    current = history[-1] if history else baseline
-    if current is None:
-        return _no_data(
-            f"no energy history at {args.history} and no baseline at "
-            f"{args.baseline} — nothing to render",
-            hint="repro energy record",
-        )
-    document = htmlreport.render_energy_report(
-        current, baseline, history=history
-    )
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
     return 0
 
 
@@ -631,7 +499,9 @@ def _cmd_faults_sweep(args) -> int:
         )
     print(chaos.render_sweep_text(doc))
     if args.output:
-        chaos.write_sweep(doc, args.output)
+        from repro.obs.gate import write_doc
+
+        write_doc(doc, args.output)
         print(f"wrote {args.output}", file=sys.stderr)
     if args.html:
         with open(args.html, "w") as handle:
@@ -644,19 +514,15 @@ def _cmd_faults_html(args) -> int:
     """Render a recorded sweep as the availability-vs-slowdown card."""
     from repro.harness import chaos
     from repro.obs import htmlreport
+    from repro.obs.gate import read_doc
 
     doc, status = _load_recorded(
-        chaos.read_sweep, args.sweep, hint="repro faults sweep -o <file>"
+        read_doc, args.sweep, chaos.SWEEP_DOC,
+        hint=chaos.SWEEP_DOC.record_hint,
     )
     if doc is None:
         return status
-    document = htmlreport.render_faults_report(doc)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
+    _emit(htmlreport.render_faults_report(doc), args.output)
     return 0
 
 
@@ -668,9 +534,10 @@ def _read_perf_baseline(path):
     """The committed perf baseline, or ``None`` when not recorded."""
     import os
 
-    from repro.obs import baseline as bl
+    from repro.obs.gate import read_doc
+    from repro.obs.perf import GATE as PERF
 
-    return bl.read_run(path) if os.path.exists(path) else None
+    return read_doc(path, PERF) if os.path.exists(path) else None
 
 
 def _open_registry(args):
@@ -732,6 +599,7 @@ def _cmd_grid_init(args) -> int:
 def _drain_and_report(args, registry) -> int:
     """Shared tail of ``grid run`` / ``grid resume``: drain, report."""
     from repro.obs import registry as regmod
+    from repro.obs.gate import exit_code
 
     baseline = _read_perf_baseline(args.baseline)
     doc = regmod.drain(
@@ -748,7 +616,7 @@ def _drain_and_report(args, registry) -> int:
     if doc["cells_failed"]:
         return 1
     verdicts = regmod.check_against_baseline(registry.cells(), baseline)
-    return regmod.exit_code(verdicts)
+    return exit_code(verdicts)
 
 
 def _cmd_grid_run(args) -> int:
@@ -785,6 +653,7 @@ def _cmd_grid_resume(args) -> int:
 def _cmd_grid_status(args) -> int:
     """Report grid progress, failures, ledger, and the baseline gate."""
     from repro.obs import registry as regmod
+    from repro.obs.gate import exit_code
 
     registry, status = _open_registry(args)
     if registry is None:
@@ -795,16 +664,17 @@ def _cmd_grid_status(args) -> int:
         verdicts = regmod.check_against_baseline(
             registry.cells(), baseline
         )
-        return regmod.exit_code(verdicts)
+        return exit_code(verdicts)
 
 
 def _cmd_grid_html(args) -> int:
     """Render the registry as the longitudinal HTML dashboard."""
     import os
 
-    from repro.obs import baseline as bl
     from repro.obs import htmlreport
     from repro.obs import noisegate as ng
+    from repro.obs.gate import read_doc, read_history
+    from repro.obs.perf import GATE as PERF
 
     registry, status = _open_registry(args)
     if registry is None:
@@ -815,20 +685,15 @@ def _cmd_grid_html(args) -> int:
             registry.runs(),
             registry.spec,
             baseline=_read_perf_baseline(args.baseline),
-            perf_history=bl.read_history(args.history),
+            perf_history=read_history(args.history, PERF),
             noise_baseline=(
-                ng.read_noise_run(args.noise_baseline)
+                read_doc(args.noise_baseline, ng.GATE)
                 if os.path.exists(args.noise_baseline)
                 else None
             ),
-            noise_history=ng.read_noise_history(args.noise_history),
+            noise_history=read_history(args.noise_history, ng.GATE),
         )
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
+    _emit(document, args.output)
     return 0
 
 
@@ -897,9 +762,7 @@ def _cmd_serve_sweep(args) -> int:
 
     baseline = None
     if not args.skip_baseline and os.path.exists(args.baseline):
-        from repro.obs import baseline as bl
-
-        baseline = bl.read_run(args.baseline)
+        baseline = _read_perf_baseline(args.baseline)
 
     registry = None
     if args.registry:
@@ -958,7 +821,9 @@ def _cmd_serve_sweep(args) -> int:
     if memo_line:
         print(memo_line)
     if args.output:
-        serve.write_serve_sweep(doc, args.output)
+        from repro.obs.gate import write_doc
+
+        write_doc(doc, args.output)
         print(f"wrote sweep document to {args.output}", file=sys.stderr)
     if args.html:
         htmlreport.write_serve_report(args.html, doc)
@@ -973,140 +838,27 @@ def _cmd_serve_sweep(args) -> int:
             max(args.healthy),
         )
         _write_serve_chrome(args.chrome, serve.simulate(spec).timelines)
-    return serve.baseline_exit_code(doc.get("baseline_check", []))
+    from repro.obs.gate import Verdict, exit_code
+
+    return exit_code(
+        Verdict(v["experiment"], v["verdict"])
+        for v in doc.get("baseline_check", [])
+    )
 
 
 def _cmd_serve_html(args) -> int:
     """Render a recorded serving sweep as the capacity dashboard."""
     from repro.obs import htmlreport
+    from repro.obs.gate import read_doc
     from repro.serve import service as serve
 
     doc, status = _load_recorded(
-        serve.read_serve_sweep, args.sweep,
-        hint="repro serve sweep -o <file>",
+        read_doc, args.sweep, serve.SWEEP_DOC,
+        hint=serve.SWEEP_DOC.record_hint,
     )
     if doc is None:
         return status
-    document = htmlreport.render_serve_report(doc)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
-    return 0
-
-
-def _resil_capture_kwargs(args) -> dict:
-    """The capture arguments shared by ``resil record`` and ``check``."""
-    import os
-
-    from repro.serve import resilience as resil
-
-    baseline = None
-    if not args.skip_baseline and os.path.exists(args.perf_baseline):
-        from repro.obs import baseline as bl
-
-        baseline = bl.read_run(args.perf_baseline)
-    return dict(
-        workload=args.workload,
-        security_bits=args.security,
-        seeds=args.seeds,
-        shard_counts=args.shards,
-        qps_grid=args.qps,
-        duration_s=args.duration,
-        breaker=resil.BreakerSpec(
-            failure_threshold=args.breaker_threshold,
-            cooldown_s=args.breaker_cooldown_ms * 1e-3,
-        ),
-        retry_budget=args.retry_budget,
-        hedge_after_s=(
-            args.hedge_after_ms * 1e-3
-            if args.hedge_after_ms is not None
-            else None
-        ),
-        baseline=baseline,
-        progress=_serve_progress,
-    )
-
-
-def _cmd_resil_record(args) -> int:
-    """Capture the RESILIENCE gate baseline and append the history."""
-    from repro.serve import resilience as resil
-
-    doc = resil.capture_resilience_run(**_resil_capture_kwargs(args))
-    resil.write_resilience_run(doc, args.baseline)
-    resil.append_resilience_history(doc, args.history)
-    print(resil.render_resilience_text(doc))
-    print(
-        f"recorded {len(doc['points'])} resilience points as run "
-        f"{doc['run_id'][:12]} (git {str(doc['git_sha'])[:12]})"
-    )
-    print(f"baseline written to {args.baseline}; history at {args.history}")
-    return 0
-
-
-def _cmd_resil_check(args) -> int:
-    """Re-simulate the resilience grid and gate against the baseline."""
-    from repro.serve import resilience as resil
-
-    baseline, status = _load_recorded(
-        resil.read_resilience_run, args.baseline, hint="repro resil record"
-    )
-    if baseline is None:
-        return status
-    kwargs = _resil_capture_kwargs(args)
-    # Re-simulate exactly the recorded grid, not the CLI defaults.
-    kwargs.update(
-        workload=baseline["workload"],
-        security_bits=baseline["security_bits"],
-        seeds=baseline["seeds"],
-        shard_counts=baseline["shard_counts"],
-        qps_grid=baseline["qps_grid"],
-        duration_s=baseline["duration_s"],
-        breaker=resil.BreakerSpec(**baseline["config"]["breaker"]),
-        retry_budget=baseline["config"]["retry_budget"],
-        hedge_after_s=baseline["config"]["hedge_after_s"],
-        shed_burn_threshold=baseline["config"]["shed_burn_threshold"],
-    )
-    current = resil.capture_resilience_run(**kwargs)
-    resil.append_resilience_history(current, args.history)
-    verdicts = resil.check_resilience_runs(baseline, current)
-    print(resil.render_resilience_check(verdicts, baseline, current))
-    if args.update:
-        resil.write_resilience_run(current, args.baseline)
-        print(f"resilience baseline re-recorded: {args.baseline}")
-        return 0
-    return resil.resilience_exit_code(verdicts)
-
-
-def _cmd_resil_html(args) -> int:
-    """Render the recorded resilience run as the shard-health dashboard."""
-    import os
-
-    from repro.obs import htmlreport
-    from repro.serve import resilience as resil
-
-    history = resil.read_resilience_history(args.history)
-    baseline = (
-        resil.read_resilience_run(args.baseline)
-        if os.path.exists(args.baseline)
-        else None
-    )
-    current = history[-1] if history else baseline
-    if current is None:
-        return _no_data(
-            f"no resilience history at {args.history} and no baseline "
-            f"at {args.baseline} — nothing to render",
-            hint="repro resil record",
-        )
-    document = htmlreport.render_resilience_report(current, baseline)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
+    _emit(htmlreport.render_serve_report(doc), args.output)
     return 0
 
 
@@ -1279,6 +1031,339 @@ def _cmd_verify(_args) -> int:
     return 0
 
 
+def _perf_flags(verb: str, p) -> None:
+    if verb == "record":
+        p.add_argument(
+            "ids",
+            nargs="*",
+            help="experiments to record (default: the fast set)",
+        )
+    if verb == "check":
+        p.add_argument(
+            "ids",
+            nargs="*",
+            help="experiments to check (default: everything in the baseline)",
+        )
+    if verb in ("record", "check"):
+        p.add_argument(
+            "--repeats",
+            type=int,
+            default=3,
+            help="untraced wall-time repeats per experiment (default: 3)",
+        )
+    if verb in ("check", "html"):
+        p.add_argument(
+            "--skip-wall",
+            action="store_true",
+            help="modelled exactness only, no wall-time policy "
+            "(for CI / foreign machines)",
+        )
+
+
+def _noise_flags(verb: str, p) -> None:
+    if verb == "record":
+        p.add_argument(
+            "levels",
+            nargs="*",
+            type=int,
+            help="security levels to record (default: all paper levels)",
+        )
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=7,
+            help="seed for keys, encryption randomness, and operand "
+            "sampling (default: 7)",
+        )
+    if verb == "check":
+        p.add_argument(
+            "levels",
+            nargs="*",
+            type=int,
+            help="security levels to check (default: everything in the "
+            "baseline)",
+        )
+
+
+def _energy_flags(verb: str, p) -> None:
+    if verb == "record":
+        p.add_argument(
+            "ids",
+            nargs="*",
+            help="experiment ids to record (default: the fast set)",
+        )
+
+
+def _resil_flags(_verb: str, p) -> None:
+    from repro.serve.resilience import (
+        DEFAULT_RESIL_QPS,
+        DEFAULT_RESIL_SEEDS,
+        DEFAULT_SHARD_COUNTS,
+    )
+
+    p.add_argument(
+        "--workload",
+        default="vec_add",
+        help="request-class workload (default: vec_add)",
+    )
+    p.add_argument(
+        "--security",
+        type=int,
+        default=54,
+        metavar="BITS",
+        help="security level (default: 54)",
+    )
+    p.add_argument(
+        "--seeds",
+        nargs="+",
+        type=int,
+        default=list(DEFAULT_RESIL_SEEDS),
+        help=f"fault seeds to sweep (default: "
+        f"{' '.join(str(s) for s in DEFAULT_RESIL_SEEDS)})",
+    )
+    p.add_argument(
+        "--shards",
+        nargs="+",
+        type=int,
+        default=list(DEFAULT_SHARD_COUNTS),
+        metavar="K",
+        help=f"shard counts to sweep (default: "
+        f"{' '.join(str(k) for k in DEFAULT_SHARD_COUNTS)})",
+    )
+    p.add_argument(
+        "--qps",
+        nargs="+",
+        type=float,
+        default=list(DEFAULT_RESIL_QPS),
+        help=f"offered rates to sweep (default: "
+        f"{' '.join(f'{q:g}' for q in DEFAULT_RESIL_QPS)})",
+    )
+    p.add_argument(
+        "--duration",
+        type=float,
+        default=0.1,
+        metavar="S",
+        help="modelled arrival window in seconds (default: 0.1)",
+    )
+    p.add_argument(
+        "--breaker-threshold",
+        type=int,
+        default=3,
+        metavar="N",
+        help="consecutive failures that trip a shard's breaker "
+        "(default: 3)",
+    )
+    p.add_argument(
+        "--breaker-cooldown-ms",
+        type=float,
+        default=25.0,
+        metavar="MS",
+        help="breaker cooldown in modelled milliseconds (default: 25)",
+    )
+    p.add_argument(
+        "--retry-budget",
+        type=int,
+        default=1,
+        metavar="N",
+        help="redispatches allowed after a failed dispatch "
+        "(default: 1)",
+    )
+    p.add_argument(
+        "--hedge-after-ms",
+        type=float,
+        default=5.0,
+        metavar="MS",
+        help="queue wait that triggers a hedged duplicate launch "
+        "(default: 5)",
+    )
+    p.add_argument(
+        "--perf-baseline",
+        default="baselines/perf.json",
+        metavar="FILE",
+        help="perf baseline for the single-shard bit-identity "
+        "cross-check (default: baselines/perf.json)",
+    )
+    p.add_argument(
+        "--skip-baseline",
+        action="store_true",
+        help="skip the single-shard perf cross-check",
+    )
+
+
+def _render_perf(history, baseline, args) -> str:
+    from repro.obs import htmlreport
+
+    return htmlreport.render_dashboard(
+        history, baseline, skip_wall=args.skip_wall
+    )
+
+
+def _render_noise(history, baseline, _args) -> str:
+    from repro.obs import htmlreport
+
+    current = history[-1] if history else baseline
+    return htmlreport.render_noise_report(current, baseline)
+
+
+def _render_energy(history, baseline, _args) -> str:
+    from repro.obs import htmlreport
+
+    current = history[-1] if history else baseline
+    return htmlreport.render_energy_report(
+        current, baseline, history=history
+    )
+
+
+def _render_resil(history, baseline, _args) -> str:
+    from repro.obs import htmlreport
+
+    current = history[-1] if history else baseline
+    return htmlreport.render_resilience_report(current, baseline)
+
+
+class _GateCLI(NamedTuple):
+    """How one gate family reads on the command line."""
+
+    help: str
+    description: str
+    #: The report verb and its help line.
+    report: str
+    report_help: str
+    #: ``flags(verb, parser)`` adds the gate-only flags of a verb.
+    flags: Callable
+    #: ``render(history, baseline, args)`` -> the report's HTML.
+    render: Callable
+
+
+_GATE_CLI = {
+    "perf": _GateCLI(
+        help="performance baselines, regression gate, and dashboard",
+        description=(
+            "Record schema-versioned performance baselines and gate "
+            "changes against them: modelled times must match exactly "
+            "(MODEL-DRIFT otherwise), wall times within a noise-aware "
+            "band (REGRESSION otherwise). See docs/observability.md."
+        ),
+        report="html",
+        report_help="render the run history as a standalone HTML dashboard",
+        flags=_perf_flags,
+        render=_render_perf,
+    ),
+    "noise": _GateCLI(
+        help="noise-budget calibration: record, gate, and report "
+        "predicted-vs-measured trajectories",
+        description=(
+            "Record seeded-deterministic noise-budget trajectories "
+            "(predicted and measured bits per operation) for the paper "
+            "security levels and gate the growth model against them: "
+            "any change beyond tolerance is NOISE-DRIFT. See "
+            "docs/observability.md."
+        ),
+        report="report",
+        report_help="render the budget-vs-depth trajectories as "
+        "standalone HTML",
+        flags=_noise_flags,
+        render=_render_noise,
+    ),
+    "energy": _GateCLI(
+        help="modelled energy & data movement: record, gate, and report "
+        "joules and bytes moved per experiment",
+        description=(
+            "Price every experiment's modelled energy (DPU "
+            "pipeline/idle/DMA split, host-link transfers, CPU/GPU TDP "
+            "envelopes) and the bytes it moves at each memory level, "
+            "and gate the model against the committed baseline: "
+            "modelled joules are deterministic, so any difference is "
+            "ENERGY-DRIFT. See docs/observability.md."
+        ),
+        report="report",
+        report_help="render energy-per-op, EDP, and movement bars as "
+        "standalone HTML",
+        flags=_energy_flags,
+        render=_render_energy,
+    ),
+    "resil": _GateCLI(
+        help="fault-tolerant sharded serving: record, gate, and render "
+        "degraded-fleet SLO attainment",
+        description=(
+            "Sweep the sharded resilient serving model — health-aware "
+            "placement over K rank-aligned shards, per-shard circuit "
+            "breakers, retry budgets, hedged dispatch — across a fault "
+            "seed × shard count × offered QPS grid, healthy and with "
+            "one shard's ranks disabled. Every point is deterministic "
+            "modelled arithmetic, so the gate demands exact equality "
+            "(RESILIENCE-DRIFT otherwise); the single-shard zero-fault "
+            "pricer is cross-checked bit-for-bit against the perf "
+            "baseline. See docs/robustness.md."
+        ),
+        report="html",
+        report_help="render the shard-health dashboard from the recorded run",
+        flags=_resil_flags,
+        render=_render_resil,
+    ),
+}
+
+
+def _gate_paths(p, gate) -> None:
+    p.add_argument(
+        "--baseline",
+        default=gate.baseline,
+        metavar="FILE",
+        help=f"baseline JSON (default: {gate.baseline})",
+    )
+    p.add_argument(
+        "--history",
+        default=gate.history,
+        metavar="FILE",
+        help=f"run-history JSONL (default: {gate.history})",
+    )
+
+
+def _add_gate_parser(sub, gate) -> None:
+    """``repro <gate> record|check|<report>``: one family per gate."""
+    cli = _GATE_CLI[gate.name]
+    family = sub.add_parser(
+        gate.name, help=cli.help, description=cli.description
+    )
+    verbs = family.add_subparsers(dest=f"{gate.name}_command", required=True)
+    for verb, help_text, handler in (
+        ("record", "capture the baseline and append it to the history",
+         _cmd_gate_record),
+        ("check", "re-run what the baseline recorded and gate against it",
+         _cmd_gate_check),
+        (cli.report, cli.report_help, _cmd_gate_report),
+    ):
+        p = verbs.add_parser(verb, help=help_text)
+        if handler is _cmd_gate_check:
+            p.add_argument(
+                "--update",
+                action="store_true",
+                help="adopt the current run as the new baseline (exit 0)",
+            )
+        if handler is _cmd_gate_report:
+            p.add_argument(
+                "-o", "--output", help="output file (default: stdout)"
+            )
+        _gate_paths(p, gate)
+        cli.flags(verb, p)
+        p.set_defaults(func=functools.partial(handler, gate))
+    if gate.name == "perf":
+        diff = verbs.add_parser(
+            "diff", help="attribution diff between two recorded runs"
+        )
+        diff.add_argument(
+            "run_a", help="run JSON file, or run-id prefix in the history"
+        )
+        diff.add_argument(
+            "run_b", help="run JSON file, or run-id prefix in the history"
+        )
+        diff.add_argument(
+            "--top", type=int, default=10, help="rows per experiment"
+        )
+        _gate_paths(diff, gate)
+        diff.set_defaults(func=_cmd_perf_diff)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -1350,118 +1435,16 @@ def build_parser() -> argparse.ArgumentParser:
     obs_parser.add_argument("ids", nargs="+", help="experiment ids")
     obs_parser.set_defaults(func=_cmd_obs)
 
-    perf_parser = sub.add_parser(
-        "perf",
-        help="performance baselines, regression gate, and dashboard",
-        description=(
-            "Record schema-versioned performance baselines and gate "
-            "changes against them: modelled times must match exactly "
-            "(MODEL-DRIFT otherwise), wall times within a noise-aware "
-            "band (REGRESSION otherwise). See docs/observability.md."
-        ),
-    )
-    perf_sub = perf_parser.add_subparsers(dest="perf_command", required=True)
+    from repro.obs.gate import gates
 
-    def _perf_common(p) -> None:
-        from repro.obs.baseline import (
-            DEFAULT_BASELINE_PATH,
-            DEFAULT_HISTORY_PATH,
-        )
+    for gate in gates():
+        _add_gate_parser(sub, gate)
 
-        p.add_argument(
-            "--baseline",
-            default=DEFAULT_BASELINE_PATH,
-            metavar="FILE",
-            help=f"baseline JSON (default: {DEFAULT_BASELINE_PATH})",
-        )
-        p.add_argument(
-            "--history",
-            default=DEFAULT_HISTORY_PATH,
-            metavar="FILE",
-            help=f"run-history JSONL (default: {DEFAULT_HISTORY_PATH})",
-        )
-
-    record_parser = perf_sub.add_parser(
-        "record", help="capture a baseline run (modelled + wall + rollups)"
-    )
-    record_parser.add_argument(
-        "ids",
-        nargs="*",
-        help="experiments to record (default: the fast set)",
-    )
-    record_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="untraced wall-time repeats per experiment (default: 3)",
-    )
-    _perf_common(record_parser)
-    record_parser.set_defaults(func=_cmd_perf_record)
-
-    check_parser = perf_sub.add_parser(
-        "check", help="re-run and compare against the baseline"
-    )
-    check_parser.add_argument(
-        "ids",
-        nargs="*",
-        help="experiments to check (default: everything in the baseline)",
-    )
-    check_parser.add_argument(
-        "--repeats", type=int, default=3, help="wall-time repeats"
-    )
-    check_parser.add_argument(
-        "--skip-wall",
-        action="store_true",
-        help="modelled-exactness only (for CI / foreign machines)",
-    )
-    check_parser.add_argument(
-        "--update",
-        action="store_true",
-        help="adopt the current run as the new baseline (exit 0)",
-    )
-    _perf_common(check_parser)
-    check_parser.set_defaults(func=_cmd_perf_check)
-
-    diff_parser = perf_sub.add_parser(
-        "diff", help="attribution diff between two recorded runs"
-    )
-    diff_parser.add_argument(
-        "run_a", help="run JSON file, or run-id prefix in the history"
-    )
-    diff_parser.add_argument(
-        "run_b", help="run JSON file, or run-id prefix in the history"
-    )
-    diff_parser.add_argument(
-        "--top", type=int, default=10, help="rows per experiment"
-    )
-    _perf_common(diff_parser)
-    diff_parser.set_defaults(func=_cmd_perf_diff)
-
-    html_parser = perf_sub.add_parser(
-        "html", help="render the run history as a standalone HTML dashboard"
-    )
-    html_parser.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
-    html_parser.add_argument(
-        "--skip-wall",
-        action="store_true",
-        help="badge on modelled exactness only",
-    )
-    _perf_common(html_parser)
-    html_parser.set_defaults(func=_cmd_perf_html)
-
-    from repro.obs.baseline import (
-        DEFAULT_BASELINE_PATH as _PERF_BASELINE,
-        DEFAULT_HISTORY_PATH as _PERF_HISTORY,
-    )
-    from repro.obs.energy import (
-        DEFAULT_BASELINE_PATH as _ENERGY_BASELINE,
-        DEFAULT_HISTORY_PATH as _ENERGY_HISTORY,
-    )
+    from repro.obs.energy import GATE as _ENERGY
     from repro.obs.forensics import H_MULT as _H_MULT
     from repro.obs.forensics import K_REL as _K_REL
-    from repro.obs.noisegate import DEFAULT_HISTORY_PATH as _NOISE_HISTORY
+    from repro.obs.noisegate import GATE as _NOISE
+    from repro.obs.perf import GATE as _PERF
     from repro.obs.registry import DEFAULT_DB_PATH as _GRID_DB
 
     why_parser = sub.add_parser(
@@ -1483,29 +1466,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     why_parser.add_argument(
         "--against",
-        default=_PERF_BASELINE,
+        default=_PERF.baseline,
         metavar="BASELINE|RUN-ID",
         help="baseline JSON file, or run-id prefix in the history "
-        f"(default: {_PERF_BASELINE})",
+        f"(default: {_PERF.baseline})",
     )
     why_parser.add_argument(
         "--history",
-        default=_PERF_HISTORY,
+        default=_PERF.history,
         metavar="FILE",
-        help=f"run-history JSONL (default: {_PERF_HISTORY})",
+        help=f"run-history JSONL (default: {_PERF.history})",
     )
     why_parser.add_argument(
         "--energy-baseline",
-        default=_ENERGY_BASELINE,
+        default=_ENERGY.baseline,
         metavar="FILE",
         help="energy baseline JSON; the energy family is skipped when "
-        f"absent (default: {_ENERGY_BASELINE})",
+        f"absent (default: {_ENERGY.baseline})",
     )
     why_parser.add_argument(
         "--energy-history",
-        default=_ENERGY_HISTORY,
+        default=_ENERGY.history,
         metavar="FILE",
-        help=f"energy-history JSONL (default: {_ENERGY_HISTORY})",
+        help=f"energy-history JSONL (default: {_ENERGY.history})",
     )
     why_parser.add_argument(
         "--top", type=int, default=10, help="contributors per family"
@@ -1549,10 +1532,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     forensics_html.add_argument(
         "--run-a",
-        default=_PERF_BASELINE,
+        default=_PERF.baseline,
         metavar="RUN",
         help="run JSON file, or run-id prefix in the history "
-        f"(default: {_PERF_BASELINE})",
+        f"(default: {_PERF.baseline})",
     )
     forensics_html.add_argument(
         "--run-b",
@@ -1563,9 +1546,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     forensics_html.add_argument(
         "--history",
-        default=_PERF_HISTORY,
+        default=_PERF.history,
         metavar="FILE",
-        help=f"run-history JSONL (default: {_PERF_HISTORY})",
+        help=f"run-history JSONL (default: {_PERF.history})",
     )
     forensics_html.add_argument(
         "--top", type=int, default=10, help="contributors per experiment"
@@ -1586,21 +1569,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     forensics_shifts.add_argument(
         "--history",
-        default=_PERF_HISTORY,
+        default=_PERF.history,
         metavar="FILE",
-        help=f"perf-history JSONL (default: {_PERF_HISTORY})",
+        help=f"perf-history JSONL (default: {_PERF.history})",
     )
     forensics_shifts.add_argument(
         "--energy-history",
-        default=_ENERGY_HISTORY,
+        default=_ENERGY.history,
         metavar="FILE",
-        help=f"energy-history JSONL (default: {_ENERGY_HISTORY})",
+        help=f"energy-history JSONL (default: {_ENERGY.history})",
     )
     forensics_shifts.add_argument(
         "--noise-history",
-        default=_NOISE_HISTORY,
+        default=_NOISE.history,
         metavar="FILE",
-        help=f"noise-history JSONL (default: {_NOISE_HISTORY})",
+        help=f"noise-history JSONL (default: {_NOISE.history})",
     )
     forensics_shifts.add_argument(
         "--db",
@@ -1627,157 +1610,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="FILE", help="write the shift records as JSON"
     )
     forensics_shifts.set_defaults(func=_cmd_forensics_shifts)
-
-    noise_parser = sub.add_parser(
-        "noise",
-        help="noise-budget calibration: record, gate, and report "
-        "predicted-vs-measured trajectories",
-        description=(
-            "Record seeded-deterministic noise-budget trajectories "
-            "(predicted and measured bits per operation) for the paper "
-            "security levels and gate the growth model against them: "
-            "any change beyond tolerance is NOISE-DRIFT. See "
-            "docs/observability.md."
-        ),
-    )
-    noise_sub = noise_parser.add_subparsers(
-        dest="noise_command", required=True
-    )
-
-    def _noise_common(p) -> None:
-        from repro.obs.noisegate import (
-            DEFAULT_BASELINE_PATH,
-            DEFAULT_HISTORY_PATH,
-        )
-
-        p.add_argument(
-            "--baseline",
-            default=DEFAULT_BASELINE_PATH,
-            metavar="FILE",
-            help=f"calibration JSON (default: {DEFAULT_BASELINE_PATH})",
-        )
-        p.add_argument(
-            "--history",
-            default=DEFAULT_HISTORY_PATH,
-            metavar="FILE",
-            help=f"run-history JSONL (default: {DEFAULT_HISTORY_PATH})",
-        )
-
-    noise_record = noise_sub.add_parser(
-        "record", help="capture the noise-calibration baseline"
-    )
-    noise_record.add_argument(
-        "levels",
-        nargs="*",
-        type=int,
-        help="security levels to record (default: all paper levels)",
-    )
-    noise_record.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="seed for keys, encryption randomness, and operand "
-        "sampling (default: 7)",
-    )
-    _noise_common(noise_record)
-    noise_record.set_defaults(func=_cmd_noise_record)
-
-    noise_check = noise_sub.add_parser(
-        "check", help="re-run trajectories and gate against the baseline"
-    )
-    noise_check.add_argument(
-        "levels",
-        nargs="*",
-        type=int,
-        help="security levels to check (default: everything in the "
-        "baseline)",
-    )
-    noise_check.add_argument(
-        "--update",
-        action="store_true",
-        help="adopt the current run as the new calibration (exit 0)",
-    )
-    _noise_common(noise_check)
-    noise_check.set_defaults(func=_cmd_noise_check)
-
-    noise_report = noise_sub.add_parser(
-        "report",
-        help="render the budget-vs-depth trajectories as standalone HTML",
-    )
-    noise_report.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
-    _noise_common(noise_report)
-    noise_report.set_defaults(func=_cmd_noise_report)
-
-    energy_parser = sub.add_parser(
-        "energy",
-        help="modelled energy & data movement: record, gate, and report "
-        "joules and bytes moved per experiment",
-        description=(
-            "Price every experiment's modelled energy (DPU "
-            "pipeline/idle/DMA split, host-link transfers, CPU/GPU TDP "
-            "envelopes) and the bytes it moves at each memory level, "
-            "and gate the model against the committed baseline: "
-            "modelled joules are deterministic, so any difference is "
-            "ENERGY-DRIFT. See docs/observability.md."
-        ),
-    )
-    energy_sub = energy_parser.add_subparsers(
-        dest="energy_command", required=True
-    )
-
-    def _energy_common(p) -> None:
-        from repro.obs.energy import (
-            DEFAULT_BASELINE_PATH,
-            DEFAULT_HISTORY_PATH,
-        )
-
-        p.add_argument(
-            "--baseline",
-            default=DEFAULT_BASELINE_PATH,
-            metavar="FILE",
-            help=f"energy baseline JSON (default: {DEFAULT_BASELINE_PATH})",
-        )
-        p.add_argument(
-            "--history",
-            default=DEFAULT_HISTORY_PATH,
-            metavar="FILE",
-            help=f"run-history JSONL (default: {DEFAULT_HISTORY_PATH})",
-        )
-
-    energy_record = energy_sub.add_parser(
-        "record", help="capture the modelled-energy baseline"
-    )
-    energy_record.add_argument(
-        "ids",
-        nargs="*",
-        help="experiment ids to record (default: the fast set)",
-    )
-    _energy_common(energy_record)
-    energy_record.set_defaults(func=_cmd_energy_record)
-
-    energy_check = energy_sub.add_parser(
-        "check", help="re-price the experiments and gate against the baseline"
-    )
-    energy_check.add_argument(
-        "--update",
-        action="store_true",
-        help="adopt the current run as the new baseline (exit 0)",
-    )
-    _energy_common(energy_check)
-    energy_check.set_defaults(func=_cmd_energy_check)
-
-    energy_report = energy_sub.add_parser(
-        "report",
-        help="render energy-per-op, EDP, and movement bars as "
-        "standalone HTML",
-    )
-    energy_report.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
-    _energy_common(energy_report)
-    energy_report.set_defaults(func=_cmd_energy_report)
 
     faults_parser = sub.add_parser(
         "faults",
@@ -1923,7 +1755,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid_sub = grid_parser.add_subparsers(dest="grid_command", required=True)
 
     def _grid_common(p) -> None:
-        from repro.obs.baseline import DEFAULT_BASELINE_PATH
+        from repro.obs.perf import GATE as PERF
         from repro.obs.registry import DEFAULT_DB_PATH
 
         p.add_argument(
@@ -1934,10 +1766,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--baseline",
-            default=DEFAULT_BASELINE_PATH,
+            default=PERF.baseline,
             metavar="FILE",
             help="perf baseline to cross-check fault-free cells against "
-            f"(default: {DEFAULT_BASELINE_PATH})",
+            f"(default: {PERF.baseline})",
         )
 
     def _grid_drain_common(p) -> None:
@@ -2246,164 +2078,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_html.set_defaults(func=_cmd_serve_html)
 
-    resil_parser = sub.add_parser(
-        "resil",
-        help="fault-tolerant sharded serving: record, gate, and render "
-        "degraded-fleet SLO attainment",
-        description=(
-            "Sweep the sharded resilient serving model — health-aware "
-            "placement over K rank-aligned shards, per-shard circuit "
-            "breakers, retry budgets, hedged dispatch — across a fault "
-            "seed × shard count × offered QPS grid, healthy and with "
-            "one shard's ranks disabled. Every point is deterministic "
-            "modelled arithmetic, so the gate demands exact equality "
-            "(RESILIENCE-DRIFT otherwise); the single-shard zero-fault "
-            "pricer is cross-checked bit-for-bit against the perf "
-            "baseline. See docs/robustness.md."
-        ),
-    )
-    resil_sub = resil_parser.add_subparsers(
-        dest="resil_command", required=True
-    )
-
-    def _resil_common(p) -> None:
-        from repro.serve.resilience import (
-            DEFAULT_RESIL_BASELINE_PATH,
-            DEFAULT_RESIL_HISTORY_PATH,
-            DEFAULT_RESIL_QPS,
-            DEFAULT_RESIL_SEEDS,
-            DEFAULT_SHARD_COUNTS,
-        )
-
-        p.add_argument(
-            "--baseline",
-            default=DEFAULT_RESIL_BASELINE_PATH,
-            metavar="FILE",
-            help="resilience baseline JSON "
-            f"(default: {DEFAULT_RESIL_BASELINE_PATH})",
-        )
-        p.add_argument(
-            "--history",
-            default=DEFAULT_RESIL_HISTORY_PATH,
-            metavar="FILE",
-            help=f"run-history JSONL (default: {DEFAULT_RESIL_HISTORY_PATH})",
-        )
-        p.add_argument(
-            "--workload",
-            default="vec_add",
-            help="request-class workload (default: vec_add)",
-        )
-        p.add_argument(
-            "--security",
-            type=int,
-            default=54,
-            metavar="BITS",
-            help="security level (default: 54)",
-        )
-        p.add_argument(
-            "--seeds",
-            nargs="+",
-            type=int,
-            default=list(DEFAULT_RESIL_SEEDS),
-            help=f"fault seeds to sweep (default: "
-            f"{' '.join(str(s) for s in DEFAULT_RESIL_SEEDS)})",
-        )
-        p.add_argument(
-            "--shards",
-            nargs="+",
-            type=int,
-            default=list(DEFAULT_SHARD_COUNTS),
-            metavar="K",
-            help=f"shard counts to sweep (default: "
-            f"{' '.join(str(k) for k in DEFAULT_SHARD_COUNTS)})",
-        )
-        p.add_argument(
-            "--qps",
-            nargs="+",
-            type=float,
-            default=list(DEFAULT_RESIL_QPS),
-            help=f"offered rates to sweep (default: "
-            f"{' '.join(f'{q:g}' for q in DEFAULT_RESIL_QPS)})",
-        )
-        p.add_argument(
-            "--duration",
-            type=float,
-            default=0.1,
-            metavar="S",
-            help="modelled arrival window in seconds (default: 0.1)",
-        )
-        p.add_argument(
-            "--breaker-threshold",
-            type=int,
-            default=3,
-            metavar="N",
-            help="consecutive failures that trip a shard's breaker "
-            "(default: 3)",
-        )
-        p.add_argument(
-            "--breaker-cooldown-ms",
-            type=float,
-            default=25.0,
-            metavar="MS",
-            help="breaker cooldown in modelled milliseconds (default: 25)",
-        )
-        p.add_argument(
-            "--retry-budget",
-            type=int,
-            default=1,
-            metavar="N",
-            help="redispatches allowed after a failed dispatch "
-            "(default: 1)",
-        )
-        p.add_argument(
-            "--hedge-after-ms",
-            type=float,
-            default=5.0,
-            metavar="MS",
-            help="queue wait that triggers a hedged duplicate launch "
-            "(default: 5)",
-        )
-        p.add_argument(
-            "--perf-baseline",
-            default="baselines/perf.json",
-            metavar="FILE",
-            help="perf baseline for the single-shard bit-identity "
-            "cross-check (default: baselines/perf.json)",
-        )
-        p.add_argument(
-            "--skip-baseline",
-            action="store_true",
-            help="skip the single-shard perf cross-check",
-        )
-
-    resil_record = resil_sub.add_parser(
-        "record", help="capture the RESILIENCE gate baseline"
-    )
-    _resil_common(resil_record)
-    resil_record.set_defaults(func=_cmd_resil_record)
-
-    resil_check = resil_sub.add_parser(
-        "check",
-        help="re-simulate the recorded grid and gate against the baseline",
-    )
-    resil_check.add_argument(
-        "--update",
-        action="store_true",
-        help="adopt the current run as the new baseline (exit 0)",
-    )
-    _resil_common(resil_check)
-    resil_check.set_defaults(func=_cmd_resil_check)
-
-    resil_html = resil_sub.add_parser(
-        "html",
-        help="render the shard-health dashboard from the recorded run",
-    )
-    resil_html.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
-    _resil_common(resil_html)
-    resil_html.set_defaults(func=_cmd_resil_html)
-
     profile_parser = sub.add_parser(
         "profile",
         help="profile the pipeline: tasklet occupancy, DMA contention, "
@@ -2487,11 +2161,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from repro.errors import ReproError
     from repro.obs import configure_from_env
 
     configure_from_env()  # honour the REPRO_TRACE switch
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -19,20 +19,19 @@ recorded experiment:
 
 A **baseline** is simply a committed run record
 (``baselines/perf.json``); :mod:`repro.obs.perf` compares fresh runs
-against it. Every record also carries an identity — ``run_id`` (uuid),
+against it, and :mod:`repro.obs.gate` persists both. Every record also carries an identity — ``run_id`` (uuid),
 ISO timestamp, git SHA, captured by the shared
 :mod:`repro.obs.runident` helpers (re-exported here) — and the same
 identity helpers stamp the benchmark suite's ``metrics.jsonl`` lines
 and the run registry's ledger (:mod:`repro.obs.registry`).
 
-Documents are schema-versioned (:data:`SCHEMA_VERSION`); readers
-refuse unknown versions so a future layout change cannot be silently
-misread as a regression.
+Documents are schema-versioned (:data:`SCHEMA_VERSION`); the shared
+reader (:func:`repro.obs.gate.read_doc`) refuses unknown versions so a
+future layout change cannot be silently misread as a regression.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import statistics
@@ -40,35 +39,20 @@ from time import perf_counter
 
 from repro.errors import ParameterError
 from repro.obs.export import path_tree
+from repro.obs.gate import SCHEMA_VERSION
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.runident import git_sha, run_identity
 from repro.obs.trace import Tracer, use_tracer
 
 __all__ = [
     "SCHEMA_VERSION",
-    "DEFAULT_BASELINE_PATH",
-    "DEFAULT_HISTORY_PATH",
     "git_sha",
     "run_identity",
     "capture_experiment",
     "capture_run",
-    "write_run",
-    "read_run",
-    "append_history",
-    "read_history",
-    "find_run",
     "prepare_metrics_log",
     "FRESH_ENV_VAR",
 ]
-
-#: Version stamped into every run record / baseline document.
-SCHEMA_VERSION = 1
-
-#: Where ``repro perf record`` writes the baseline by default.
-DEFAULT_BASELINE_PATH = "baselines/perf.json"
-
-#: Where recorded runs accumulate (one JSON line each) for trends/diffs.
-DEFAULT_HISTORY_PATH = "baselines/history.jsonl"
 
 #: Environment variable: truncate ``metrics.jsonl`` instead of appending.
 FRESH_ENV_VAR = "REPRO_BENCH_FRESH"
@@ -234,82 +218,6 @@ def capture_run(ids=None, repeats: int = 3, progress=None) -> dict:
     doc.update(run_identity())
     doc["experiments"] = experiments
     return doc
-
-
-# -- persistence ------------------------------------------------------------
-
-
-def _validate_run(doc, source: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParameterError(f"{source}: run document must be a JSON object")
-    schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ParameterError(
-            f"{source}: unsupported perf schema {schema!r} "
-            f"(this build reads version {SCHEMA_VERSION}); "
-            "re-record with 'repro perf record'"
-        )
-    if not isinstance(doc.get("experiments"), dict):
-        raise ParameterError(f"{source}: run document missing 'experiments'")
-    return doc
-
-
-def write_run(doc: dict, path) -> None:
-    """Write one run record (or baseline) as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def read_run(path) -> dict:
-    """Read and schema-validate a run record / baseline."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ParameterError(
-            f"no baseline at {path}; create one with 'repro perf record'"
-        )
-    return _validate_run(json.loads(path.read_text()), str(path))
-
-
-def append_history(doc: dict, path) -> None:
-    """Append one run record to the JSONL history file."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def read_history(path) -> list:
-    """All run records in the history file, oldest first."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    return [
-        _validate_run(json.loads(line), str(path))
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
-
-
-def find_run(run_ref: str, history_path) -> dict:
-    """Resolve a run reference: a JSON file path or a run-id prefix.
-
-    File paths win; otherwise the newest history entry whose ``run_id``
-    starts with ``run_ref`` is returned.
-    """
-    if os.path.exists(run_ref):
-        return read_run(run_ref)
-    matches = [
-        doc
-        for doc in read_history(history_path)
-        if str(doc.get("run_id", "")).startswith(run_ref)
-    ]
-    if not matches:
-        raise ParameterError(
-            f"run {run_ref!r} is neither a file nor a run-id prefix in "
-            f"{history_path}"
-        )
-    return matches[-1]
 
 
 # -- benchmark-suite metrics log -------------------------------------------

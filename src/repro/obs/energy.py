@@ -37,19 +37,23 @@ bit-identical and the existing MODEL-DRIFT gate is unaffected.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.errors import ParameterError
+from repro.obs.gate import (
+    SCHEMA_VERSION,
+    VERDICT_ENERGY_DRIFT as VERDICT_DRIFT,
+    VERDICT_NEW,
+    VERDICT_OK,
+    Gate,
+    Verdict,
+)
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.runident import run_identity
 
 __all__ = [
     "SCHEMA_VERSION",
-    "DEFAULT_BASELINE_PATH",
-    "DEFAULT_HISTORY_PATH",
     "VERDICT_OK",
     "VERDICT_NEW",
     "VERDICT_DRIFT",
@@ -63,31 +67,12 @@ __all__ = [
     "movement_bytes",
     "op_energy",
     "energy_rollup",
-    "EnergyVerdict",
+    "GATE",
     "capture_energy_experiment",
     "capture_energy_run",
-    "write_energy_run",
-    "read_energy_run",
-    "append_energy_history",
-    "read_energy_history",
     "check_energy_runs",
     "exact_diffs",
-    "exit_code",
-    "render_energy_check",
 ]
-
-#: Version stamped into every energy-run document / baseline.
-SCHEMA_VERSION = 1
-
-#: Where ``repro energy record`` writes the baseline by default.
-DEFAULT_BASELINE_PATH = "baselines/energy.json"
-
-#: Where recorded energy runs accumulate (one JSON line each).
-DEFAULT_HISTORY_PATH = "baselines/energy-history.jsonl"
-
-VERDICT_OK = "ok"
-VERDICT_NEW = "new"
-VERDICT_DRIFT = "ENERGY-DRIFT"
 
 
 # -- the committed constants -------------------------------------------------
@@ -458,86 +443,7 @@ def capture_energy_run(ids=None, progress=None) -> dict:
     return doc
 
 
-# -- persistence -------------------------------------------------------------
-
-
-def _validate_energy_run(doc, source: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParameterError(
-            f"{source}: energy-run document must be a JSON object"
-        )
-    schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ParameterError(
-            f"{source}: unsupported energy schema {schema!r} "
-            f"(this build reads version {SCHEMA_VERSION}); "
-            "re-record with 'repro energy record'"
-        )
-    if not isinstance(doc.get("experiments"), dict):
-        raise ParameterError(
-            f"{source}: energy-run document missing 'experiments'"
-        )
-    return doc
-
-
-def write_energy_run(doc: dict, path) -> None:
-    """Write one energy run (or baseline) as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def read_energy_run(path) -> dict:
-    """Read and schema-validate an energy run / baseline."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ParameterError(
-            f"no energy baseline at {path}; create one with "
-            "'repro energy record'"
-        )
-    return _validate_energy_run(json.loads(path.read_text()), str(path))
-
-
-def append_energy_history(doc: dict, path) -> None:
-    """Append one energy run to the JSONL history file."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def read_energy_history(path) -> list:
-    """All energy runs in the history file, oldest first."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    return [
-        _validate_energy_run(json.loads(line), str(path))
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
-
-
 # -- the gate ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EnergyVerdict:
-    """One experiment's (or the config's) comparison outcome."""
-
-    experiment: str
-    verdict: str
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == VERDICT_DRIFT
-
-    def describe(self) -> str:
-        line = f"[{self.verdict:>12}] {self.experiment}"
-        for note in self.notes:
-            line += f"\n               - {note}"
-        return line
 
 
 def _exact_diffs(label: str, base, cur) -> list:
@@ -575,75 +481,63 @@ def check_energy_runs(baseline: dict, current: dict) -> list:
     absent from the current run are not checked (the caller selected a
     subset).
     """
-    verdicts = []
     config_notes = _exact_diffs(
         "config", baseline.get("config", {}), current.get("config", {})
     )
-    verdicts.append(
-        EnergyVerdict(
+    verdicts = [
+        Verdict(
             "<energy-config>",
             VERDICT_DRIFT if config_notes else VERDICT_OK,
-            notes=tuple(config_notes),
+            tuple(config_notes),
         )
-    )
+    ]
     base_experiments = baseline.get("experiments", {})
     for eid, exp in current["experiments"].items():
         base = base_experiments.get(eid)
         if base is None:
             verdicts.append(
-                EnergyVerdict(
-                    eid,
-                    VERDICT_NEW,
-                    notes=("not in baseline; adopt with --update",),
+                Verdict(
+                    eid, VERDICT_NEW, ("not in baseline; adopt with --update",)
                 )
             )
             continue
         notes = _exact_diffs("", base, exp)
         verdicts.append(
-            EnergyVerdict(
-                eid,
-                VERDICT_DRIFT if notes else VERDICT_OK,
-                notes=tuple(notes),
-            )
+            Verdict(eid, VERDICT_DRIFT if notes else VERDICT_OK, tuple(notes))
         )
     return verdicts
 
 
-def exit_code(verdicts) -> int:
-    """0 when nothing drifted, 1 otherwise."""
-    return 1 if any(v.failed for v in verdicts) else 0
+def _capture(args, baseline, progress) -> dict:
+    ids = list(baseline["experiments"]) if baseline else args.ids or None
+    return capture_energy_run(ids=ids, progress=progress)
 
 
-def render_energy_check(verdicts, baseline: dict, current: dict) -> str:
-    """The energy gate report as aligned text with a summary footer."""
-    lines = [
-        "energy check — current capture vs committed baseline",
-        f"  baseline: run {str(baseline.get('run_id', '?'))[:12]} "
-        f"({baseline.get('created_at', '?')}, "
-        f"git {str(baseline.get('git_sha'))[:12]})",
-        f"  current:  run {str(current.get('run_id', '?'))[:12]} "
-        f"({current.get('created_at', '?')}, "
-        f"git {str(current.get('git_sha'))[:12]})",
-        "",
-    ]
-    lines.extend(v.describe() for v in verdicts)
-    counts: dict = {}
-    for v in verdicts:
-        counts[v.verdict] = counts.get(v.verdict, 0) + 1
-    lines.append("")
-    lines.append(
-        "summary: "
-        + ", ".join(
-            f"{counts.get(k, 0)} {k}"
-            for k in (VERDICT_OK, VERDICT_NEW, VERDICT_DRIFT)
-        )
-        + f" of {len(verdicts)} checks"
+def _summary(doc: dict) -> str:
+    total_j = sum(
+        exp["joules"].get("pim", 0.0) for exp in doc["experiments"].values()
     )
-    if any(v.failed for v in verdicts):
-        lines.append(
-            "modelled joules are deterministic; drift means the energy "
-            "constants, the movement ledger, or an upstream cost model "
-            "changed — re-baseline deliberately with "
-            "'repro energy check --update'"
-        )
-    return "\n".join(lines)
+    return (
+        f"recorded modelled energy for {len(doc['experiments'])} "
+        f"experiments ({total_j:.4g} J on pim)"
+    )
+
+
+#: ENERGY-DRIFT: modelled joules and bytes moved, exactly.
+GATE = Gate(
+    name="energy",
+    key="experiments",
+    record_hint="repro energy record",
+    baseline="baselines/energy.json",
+    history="baselines/energy-history.jsonl",
+    drift=VERDICT_DRIFT,
+    drift_cause=(
+        "modelled joules are deterministic; drift means the energy "
+        "constants, the movement ledger, or an upstream cost model changed"
+    ),
+    capture=_capture,
+    compare=lambda baseline, current, args: check_energy_runs(
+        baseline, current
+    ),
+    summary=_summary,
+)

@@ -37,6 +37,11 @@ from __future__ import annotations
 import statistics
 
 from repro.errors import ParameterError
+from repro.obs.gate import (
+    VERDICT_ENERGY_DRIFT,
+    VERDICT_MODEL_DRIFT as VERDICT_DRIFT,
+    VERDICT_OK,
+)
 from repro.obs.runident import run_identity
 
 __all__ = [
@@ -65,9 +70,6 @@ __all__ = [
     "render_shifts",
 ]
 
-VERDICT_OK = "ok"
-VERDICT_DRIFT = "MODEL-DRIFT"
-VERDICT_ENERGY_DRIFT = "ENERGY-DRIFT"
 VERDICT_SKIPPED = "skipped"
 
 #: CUSUM defaults, tuned for (near-)deterministic modelled series: the

@@ -14,6 +14,7 @@ import html as _html
 import pathlib
 
 from repro.obs import perf as _perf
+from repro.obs.gate import exit_code
 
 __all__ = [
     "render_dashboard",
@@ -497,7 +498,7 @@ def render_noise_report(
     if verdicts:
         parts.append(
             _verdict_summary(
-                (v.verdict for v in verdicts), bool(_ng.exit_code(verdicts))
+                (v.verdict for v in verdicts), bool(exit_code(verdicts))
             )
         )
     for bits, level in sorted(
@@ -655,7 +656,7 @@ def render_dashboard(
     verdicts = []
     if baseline is not None and current is not None:
         verdicts = _perf.check_runs(baseline, current, skip_wall=skip_wall)
-        verdict_by_exp = {v.experiment: v for v in verdicts}
+        verdict_by_exp = {v.key: v for v in verdicts}
 
     parts = _page_head(title)
     if current is None:
@@ -683,7 +684,7 @@ def render_dashboard(
         parts.append(
             _verdict_summary(
                 (v.verdict for v in verdicts),
-                bool(_perf.exit_code(verdicts)),
+                bool(exit_code(verdicts)),
             )
         )
 
@@ -707,11 +708,7 @@ def render_dashboard(
             f"<p class='meta'>wall median {wall['median_s'] * 1e3:.2f} ms "
             f"(spread {wall['spread'] * 100:.0f}% over "
             f"{wall['repeats']} repeats)"
-            + (
-                f" · current/baseline x{verdict.wall_ratio:.2f}"
-                if verdict and verdict.wall_ratio is not None
-                else ""
-            )
+            + (f" · {verdict.detail}" if verdict else "")
             + "</p>"
         )
         if verdict and verdict.notes:
@@ -896,7 +893,7 @@ def _verdict_history_rows(runs, perf_history, baseline,
                     doc.get("created_at", ""),
                     str(doc.get("git_sha"))[:12],
                     "perf",
-                    [(v.experiment, v.verdict) for v in verdicts],
+                    [(v.key, v.verdict) for v in verdicts],
                     {},
                 )
             )
@@ -1059,8 +1056,8 @@ def render_grid_dashboard(
             _gate_card(
                 "Baseline cross-check",
                 "fault-free cells vs the committed perf baseline",
-                [(v.verdict, v.experiment) for v in verdicts],
-                bool(_registry.exit_code(verdicts)),
+                [(v.verdict, v.key) for v in verdicts],
+                bool(exit_code(verdicts)),
                 notes=[note for v in verdicts for note in v.notes],
             )
         )
@@ -1374,7 +1371,7 @@ def render_energy_report(
     verdicts = []
     if baseline is not None:
         verdicts = _energy.check_energy_runs(baseline, current)
-        verdict_by_exp = {v.experiment: v for v in verdicts}
+        verdict_by_exp = {v.key: v for v in verdicts}
 
     config = current.get("config", {})
     parts = _page_head(title)
@@ -1396,7 +1393,7 @@ def render_energy_report(
         parts.append(
             _verdict_summary(
                 (v.verdict for v in verdicts),
-                bool(_energy.exit_code(verdicts)),
+                bool(exit_code(verdicts)),
             )
         )
     levels = {
@@ -1803,15 +1800,15 @@ def render_resilience_report(
 
         verdicts = _resil.check_resilience_runs(baseline, doc)
         notes = [
-            f"{v.point}: {note}" for v in verdicts for note in v.notes
+            f"{v.key}: {note}" for v in verdicts for note in v.notes
         ]
         parts.append(
             _gate_card(
                 "RESILIENCE gate",
                 "current run vs the committed resilience baseline, "
                 "exact equality",
-                [(v.verdict, v.point) for v in verdicts],
-                _resil.resilience_exit_code(verdicts) != 0,
+                [(v.verdict, v.key) for v in verdicts],
+                bool(exit_code(verdicts)),
                 notes=notes[:20],
             )
         )

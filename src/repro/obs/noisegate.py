@@ -27,26 +27,28 @@ trajectories and compares:
   headroom the ciphertext does not have — the one direction that
   turns into silent decryption failures downstream.
 
-Verdict severity: ``NOISE-DRIFT`` > ``new`` > ``ok``;
-:func:`exit_code` is non-zero iff anything drifted. Documents carry
-the same schema version + run identity (uuid, timestamp, git SHA)
-discipline as the perf baselines (:mod:`repro.obs.baseline`).
+Verdict severity: ``NOISE-DRIFT`` > ``new`` > ``ok``; the gate fails
+iff anything drifted. Documents carry the same schema version + run
+identity (uuid, timestamp, git SHA) as every gate's, and persist
+through the shared stack (:mod:`repro.obs.gate`, :data:`GATE`).
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-from dataclasses import dataclass, field
-
 from repro.errors import ParameterError
-from repro.obs.runident import run_identity
+from repro.obs.gate import (
+    SCHEMA_VERSION,
+    VERDICT_NEW,
+    VERDICT_NOISE_DRIFT as VERDICT_DRIFT,
+    VERDICT_OK,
+    Gate,
+    Verdict,
+)
 from repro.obs.noise import NoiseLedger, use_noise_ledger
+from repro.obs.runident import run_identity
 
 __all__ = [
     "SCHEMA_VERSION",
-    "DEFAULT_BASELINE_PATH",
-    "DEFAULT_HISTORY_PATH",
     "WORKLOAD_SHAPES",
     "PRED_TOLERANCE_BITS",
     "MEAS_TOLERANCE_BITS",
@@ -54,25 +56,10 @@ __all__ = [
     "VERDICT_OK",
     "VERDICT_NEW",
     "VERDICT_DRIFT",
-    "NoiseVerdict",
+    "GATE",
     "capture_noise_run",
-    "write_noise_run",
-    "read_noise_run",
-    "append_noise_history",
-    "read_noise_history",
     "check_noise_runs",
-    "exit_code",
-    "render_noise_check",
 ]
-
-#: Version stamped into every noise-run document / baseline.
-SCHEMA_VERSION = 1
-
-#: Where ``repro noise record`` writes the calibration baseline.
-DEFAULT_BASELINE_PATH = "baselines/noise.json"
-
-#: Where recorded noise runs accumulate (one JSON line each).
-DEFAULT_HISTORY_PATH = "baselines/noise-history.jsonl"
 
 #: The paper's workload shapes, as scripted noise trajectories.
 WORKLOAD_SHAPES = ("mean", "variance", "linreg")
@@ -85,34 +72,6 @@ MEAS_TOLERANCE_BITS = 0.5
 
 #: A prediction this far above its own measurement is over-promising.
 CONSERVATISM_MARGIN_BITS = 3.0
-
-VERDICT_OK = "ok"
-VERDICT_NEW = "new"
-VERDICT_DRIFT = "NOISE-DRIFT"
-
-
-@dataclass(frozen=True)
-class NoiseVerdict:
-    """One (security level, workload shape) comparison outcome."""
-
-    level_bits: int
-    workload: str
-    verdict: str
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == VERDICT_DRIFT
-
-    @property
-    def key(self) -> str:
-        return f"{self.level_bits}b/{self.workload}"
-
-    def describe(self) -> str:
-        line = f"[{self.verdict:>11}] {self.key}"
-        for note in self.notes:
-            line += f"\n              - {note}"
-        return line
 
 
 # -- capture ----------------------------------------------------------------
@@ -234,64 +193,6 @@ def capture_noise_run(
     return doc
 
 
-# -- persistence ------------------------------------------------------------
-
-
-def _validate_noise_run(doc, source: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParameterError(
-            f"{source}: noise-run document must be a JSON object"
-        )
-    schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ParameterError(
-            f"{source}: unsupported noise schema {schema!r} "
-            f"(this build reads version {SCHEMA_VERSION}); "
-            "re-record with 'repro noise record'"
-        )
-    if not isinstance(doc.get("levels"), dict):
-        raise ParameterError(f"{source}: noise-run document missing 'levels'")
-    return doc
-
-
-def write_noise_run(doc: dict, path) -> None:
-    """Write one noise run (or baseline) as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def read_noise_run(path) -> dict:
-    """Read and schema-validate a noise run / calibration baseline."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ParameterError(
-            f"no noise baseline at {path}; create one with "
-            "'repro noise record'"
-        )
-    return _validate_noise_run(json.loads(path.read_text()), str(path))
-
-
-def append_noise_history(doc: dict, path) -> None:
-    """Append one noise run to the JSONL history file."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def read_noise_history(path) -> list:
-    """All noise runs in the history file, oldest first."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    return [
-        _validate_noise_run(json.loads(line), str(path))
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
-
-
 # -- the gate ---------------------------------------------------------------
 
 
@@ -343,81 +244,78 @@ def _conservatism_notes(trajectory: list) -> list:
 def check_noise_runs(baseline: dict, current: dict) -> list:
     """Compare a current noise run against the calibration baseline.
 
-    One :class:`NoiseVerdict` per (level, workload) in the current
-    run. Pairs absent from the baseline are ``new`` (adopt with
-    ``--update``); baseline pairs absent from the current run are not
-    checked (the caller chose a subset of levels).
+    One :class:`~repro.obs.gate.Verdict` per (level, workload) in the
+    current run, keyed ``"<bits>b/<workload>"``. Pairs absent from the
+    baseline are ``new`` (adopt with ``--update``); baseline pairs
+    absent from the current run are not checked (the caller chose a
+    subset of levels).
     """
     verdicts = []
-    for bits_str, level in current["levels"].items():
-        bits = int(bits_str)
-        base_level = baseline["levels"].get(bits_str)
+    for bits, level in current["levels"].items():
+        base_level = baseline["levels"].get(bits, {"workloads": {}})
         for name, shape in level["workloads"].items():
-            trajectory = shape["trajectory"]
-            base_shape = (
-                base_level["workloads"].get(name)
-                if base_level is not None
-                else None
-            )
+            key = f"{bits}b/{name}"
+            base_shape = base_level["workloads"].get(name)
             if base_shape is None:
                 verdicts.append(
-                    NoiseVerdict(
-                        bits,
-                        name,
+                    Verdict(
+                        key,
                         VERDICT_NEW,
-                        notes=("not in baseline; adopt with --update",),
+                        ("not in baseline; adopt with --update",),
                     )
                 )
                 continue
+            trajectory = shape["trajectory"]
             notes = _compare_trajectories(
                 base_shape["trajectory"], trajectory
             )
             notes += _conservatism_notes(trajectory)
             verdicts.append(
-                NoiseVerdict(
-                    bits,
-                    name,
-                    VERDICT_DRIFT if notes else VERDICT_OK,
-                    notes=tuple(notes),
+                Verdict(
+                    key, VERDICT_DRIFT if notes else VERDICT_OK, tuple(notes)
                 )
             )
     return verdicts
 
 
-def exit_code(verdicts) -> int:
-    """0 when nothing drifted, 1 otherwise."""
-    return 1 if any(v.failed for v in verdicts) else 0
-
-
-def render_noise_check(verdicts, baseline: dict, current: dict) -> str:
-    """The calibration report as aligned text with a summary footer."""
-    lines = [
-        "noise check — current trajectories vs calibration baseline",
-        f"  baseline: run {str(baseline.get('run_id', '?'))[:12]} "
-        f"({baseline.get('created_at', '?')}, "
-        f"git {str(baseline.get('git_sha'))[:12]})",
-        f"  current:  run {str(current.get('run_id', '?'))[:12]} "
-        f"({current.get('created_at', '?')}, "
-        f"git {str(current.get('git_sha'))[:12]})",
-        "",
-    ]
-    lines.extend(v.describe() for v in verdicts)
-    counts: dict = {}
-    for v in verdicts:
-        counts[v.verdict] = counts.get(v.verdict, 0) + 1
-    lines.append("")
-    lines.append(
-        "summary: "
-        + ", ".join(
-            f"{counts.get(k, 0)} {k}"
-            for k in (VERDICT_OK, VERDICT_NEW, VERDICT_DRIFT)
+def _capture(args, baseline, progress) -> dict:
+    if baseline is None:
+        return capture_noise_run(
+            levels=args.levels or None, seed=args.seed, progress=progress
         )
-        + f" of {len(verdicts)} trajectories"
+    return capture_noise_run(
+        levels=args.levels or [int(bits) for bits in baseline["levels"]],
+        seed=baseline.get("seed", 7),
+        progress=progress,
     )
-    if any(v.verdict == VERDICT_DRIFT for v in verdicts):
-        lines.append(
-            "noise trajectories are seeded-deterministic; drift means "
-            "the growth model, evaluator, or sampler changed — "
-            "re-baseline deliberately with 'repro noise check --update'"
-        )
-    return "\n".join(lines)
+
+
+def _summary(doc: dict) -> str:
+    trajectories = sum(
+        len(level["workloads"]) for level in doc["levels"].values()
+    )
+    return (
+        f"recorded {trajectories} noise trajectories over "
+        f"{len(doc['levels'])} security levels"
+    )
+
+
+#: NOISE-DRIFT: predicted and measured budgets against the calibration.
+GATE = Gate(
+    name="noise",
+    key="levels",
+    record_hint="repro noise record",
+    baseline="baselines/noise.json",
+    history="baselines/noise-history.jsonl",
+    drift=VERDICT_DRIFT,
+    drift_cause=(
+        "noise trajectories are seeded-deterministic; drift means the "
+        "growth model, evaluator, or sampler changed"
+    ),
+    capture=_capture,
+    compare=lambda baseline, current, args: check_noise_runs(
+        baseline, current
+    ),
+    rows="trajectories",
+    summary=_summary,
+)

@@ -18,15 +18,23 @@ Two deliberately different comparison policies, one per clock domain:
   ``ok``.
 
 Verdict severity: ``MODEL-DRIFT`` > ``REGRESSION`` > ``new`` >
-``faster`` > ``ok``. :func:`exit_code` is non-zero iff any experiment
-drifted or regressed.
+``faster`` > ``ok``; the gate fails iff any experiment drifted or
+regressed. :data:`GATE` plugs both policies into the shared
+record/check/report stack (:mod:`repro.obs.gate`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.errors import ParameterError
+from repro.obs.gate import (
+    VERDICT_FASTER,
+    VERDICT_MODEL_DRIFT as VERDICT_DRIFT,
+    VERDICT_NEW,
+    VERDICT_OK,
+    VERDICT_REGRESSION,
+    Gate,
+    Verdict,
+)
 
 __all__ = [
     "FAST_SET",
@@ -35,12 +43,10 @@ __all__ = [
     "VERDICT_REGRESSION",
     "VERDICT_DRIFT",
     "VERDICT_NEW",
-    "ExperimentVerdict",
+    "GATE",
     "classify_wall",
     "modelled_drift",
     "check_runs",
-    "exit_code",
-    "render_check",
     "diff_runs",
     "render_diff",
 ]
@@ -67,41 +73,10 @@ FAST_SET = (
     "ext_end_to_end",
 )
 
-VERDICT_OK = "ok"
-VERDICT_FASTER = "faster"
-VERDICT_REGRESSION = "REGRESSION"
-VERDICT_DRIFT = "MODEL-DRIFT"
-VERDICT_NEW = "new"
-
 #: Wall-time policy defaults: the regression threshold is
 #: ``max(MIN_REL_THRESHOLD, SPREAD_FACTOR * baseline spread)``.
 MIN_REL_THRESHOLD = 0.25
 SPREAD_FACTOR = 3.0
-
-
-@dataclass(frozen=True)
-class ExperimentVerdict:
-    """One experiment's comparison outcome."""
-
-    experiment: str
-    verdict: str
-    wall_ratio: float | None = None
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict in (VERDICT_REGRESSION, VERDICT_DRIFT)
-
-    def describe(self) -> str:
-        ratio = (
-            f"wall x{self.wall_ratio:.2f}"
-            if self.wall_ratio is not None
-            else "wall skipped"
-        )
-        line = f"[{self.verdict:>11}] {self.experiment}  ({ratio})"
-        for note in self.notes:
-            line += f"\n              - {note}"
-        return line
 
 
 # -- policies ---------------------------------------------------------------
@@ -186,75 +161,27 @@ def check_runs(
     Experiments present only in the current run are ``new`` (recorded
     but uncomparable — re-baseline to adopt them); baseline experiments
     absent from the current run are simply not checked (the caller
-    chose a subset).
+    chose a subset). Each verdict's ``detail`` is the wall ratio.
     """
     verdicts = []
     for eid, cur_exp in current["experiments"].items():
         base_exp = baseline["experiments"].get(eid)
         if base_exp is None:
-            verdicts.append(
-                ExperimentVerdict(
-                    eid,
-                    VERDICT_NEW,
-                    notes=("not in baseline; adopt with --update",),
+            verdict, ratio = VERDICT_NEW, None
+            notes = ("not in baseline; adopt with --update",)
+        else:
+            notes = tuple(modelled_drift(base_exp, cur_exp))
+            if notes:
+                verdict, ratio = VERDICT_DRIFT, None
+            elif skip_wall:
+                verdict, ratio = VERDICT_OK, None
+            else:
+                verdict, ratio = classify_wall(
+                    base_exp["wall"], cur_exp["wall"]
                 )
-            )
-            continue
-        drift = modelled_drift(base_exp, cur_exp)
-        if drift:
-            verdicts.append(
-                ExperimentVerdict(eid, VERDICT_DRIFT, notes=tuple(drift))
-            )
-            continue
-        if skip_wall:
-            verdicts.append(ExperimentVerdict(eid, VERDICT_OK))
-            continue
-        verdict, ratio = classify_wall(base_exp["wall"], cur_exp["wall"])
-        verdicts.append(ExperimentVerdict(eid, verdict, wall_ratio=ratio))
+        detail = "wall skipped" if ratio is None else f"wall x{ratio:.2f}"
+        verdicts.append(Verdict(eid, verdict, notes, detail))
     return verdicts
-
-
-def exit_code(verdicts) -> int:
-    """0 when nothing drifted or regressed, 1 otherwise."""
-    return 1 if any(v.failed for v in verdicts) else 0
-
-
-def render_check(verdicts, baseline: dict, current: dict) -> str:
-    """The check report as aligned text with a summary footer."""
-    lines = [
-        "perf check — current run vs baseline",
-        f"  baseline: run {baseline.get('run_id', '?')[:12]} "
-        f"({baseline.get('created_at', '?')}, "
-        f"git {str(baseline.get('git_sha'))[:12]})",
-        f"  current:  run {current.get('run_id', '?')[:12]} "
-        f"({current.get('created_at', '?')}, "
-        f"git {str(current.get('git_sha'))[:12]})",
-        "",
-    ]
-    lines.extend(v.describe() for v in verdicts)
-    counts: dict = {}
-    for v in verdicts:
-        counts[v.verdict] = counts.get(v.verdict, 0) + 1
-    order = (
-        VERDICT_OK,
-        VERDICT_FASTER,
-        VERDICT_NEW,
-        VERDICT_REGRESSION,
-        VERDICT_DRIFT,
-    )
-    lines.append("")
-    lines.append(
-        "summary: "
-        + ", ".join(f"{counts.get(k, 0)} {k}" for k in order)
-        + f" of {len(verdicts)} experiments"
-    )
-    if any(v.verdict == VERDICT_DRIFT for v in verdicts):
-        lines.append(
-            "modelled times are deterministic; drift means the cost "
-            "model changed — re-baseline deliberately with "
-            "'repro perf check --update'"
-        )
-    return "\n".join(lines)
 
 
 # -- attribution diff -------------------------------------------------------
@@ -366,3 +293,37 @@ def render_diff(run_a: dict, run_b: dict, top_k: int = 10) -> str:
             if i == 0:
                 lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
+
+
+# -- the gate -----------------------------------------------------------------
+
+
+def _capture(args, baseline, progress) -> dict:
+    from repro.obs.baseline import capture_run
+
+    ids = args.ids or (list(baseline["experiments"]) if baseline else None)
+    return capture_run(ids, repeats=args.repeats, progress=progress)
+
+
+def _compare(baseline: dict, current: dict, args) -> list:
+    return check_runs(baseline, current, skip_wall=args.skip_wall)
+
+
+#: MODEL-DRIFT: modelled times exact, wall times within a noise band.
+GATE = Gate(
+    name="perf",
+    key="experiments",
+    record_hint="repro perf record",
+    baseline="baselines/perf.json",
+    history="baselines/history.jsonl",
+    drift=VERDICT_DRIFT,
+    drift_cause=(
+        "modelled times are deterministic; drift means the cost model "
+        "changed"
+    ),
+    capture=_capture,
+    compare=_compare,
+    rows="experiments",
+    summary=lambda doc: f"recorded {len(doc['experiments'])} experiments",
+    labels=(VERDICT_OK, VERDICT_FASTER, VERDICT_NEW, VERDICT_REGRESSION),
+)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from time import perf_counter
 
@@ -52,6 +52,13 @@ from repro.backends.registry import BACKEND_ORDER
 from repro.errors import ParameterError
 from repro.obs import baseline as _bl
 from repro.obs import energy as _energy
+from repro.obs.gate import (
+    VERDICT_MODEL_DRIFT as VERDICT_DRIFT,
+    VERDICT_NEW,
+    VERDICT_OK,
+    Verdict,
+    exit_code,
+)
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.runident import run_identity
 from repro.workloads.linreg import LinearRegressionWorkload
@@ -80,7 +87,6 @@ __all__ = [
     "VERDICT_NEW",
     "VERDICT_PARTIAL",
     "GridSpec",
-    "GridVerdict",
     "RunRegistry",
     "cell_label",
     "run_cell",
@@ -90,7 +96,6 @@ __all__ = [
     "experiment_totals",
     "workload_totals",
     "render_status",
-    "exit_code",
 ]
 
 #: Version stamped into the registry's ``meta`` table; readers refuse
@@ -111,9 +116,7 @@ STATUS_RUNNING = "running"
 STATUS_DONE = "done"
 STATUS_FAILED = "failed"
 
-VERDICT_OK = "ok"
-VERDICT_DRIFT = "MODEL-DRIFT"
-VERDICT_NEW = "new"
+#: A grid group with cells still pending or failed (passes the gate).
 VERDICT_PARTIAL = "partial"
 
 
@@ -850,7 +853,7 @@ def _record_drain(
                 "energy": _energy.energy_rollup(snapshot),
                 "verdicts": [
                     {
-                        "experiment": v.experiment,
+                        "experiment": v.key,
                         "verdict": v.verdict,
                         "notes": list(v.notes),
                     }
@@ -914,25 +917,6 @@ def drift_annotations(cells, baseline: dict | None, failures=()) -> dict:
 
 
 # -- the MODEL-DRIFT gate over the grid -------------------------------------
-
-
-@dataclass(frozen=True)
-class GridVerdict:
-    """One experiment-group comparison against the perf baseline."""
-
-    experiment: str
-    verdict: str
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == VERDICT_DRIFT
-
-    def describe(self) -> str:
-        line = f"[{self.verdict:>11}] {self.experiment}"
-        for note in self.notes:
-            line += f"\n              - {note}"
-        return line
 
 
 def _fault_free_index(cells) -> dict:
@@ -1047,7 +1031,7 @@ def check_against_baseline(cells, baseline: dict | None) -> list:
         recorded = baseline.get("experiments", {}).get(eid)
         if recorded is None:
             verdicts.append(
-                GridVerdict(
+                Verdict(
                     eid,
                     VERDICT_NEW,
                     (f"experiment {eid!r} not in the baseline",),
@@ -1059,7 +1043,7 @@ def check_against_baseline(cells, baseline: dict | None) -> list:
         missing = [name for name in sorted(expected) if name not in got]
         if missing:
             verdicts.append(
-                GridVerdict(
+                Verdict(
                     eid,
                     VERDICT_PARTIAL,
                     tuple(
@@ -1076,14 +1060,9 @@ def check_against_baseline(cells, baseline: dict | None) -> list:
             if got[name] != expected[name]
         )
         verdicts.append(
-            GridVerdict(eid, VERDICT_DRIFT if notes else VERDICT_OK, notes)
+            Verdict(eid, VERDICT_DRIFT if notes else VERDICT_OK, notes)
         )
     return verdicts
-
-
-def exit_code(verdicts) -> int:
-    """Non-zero iff any grid verdict is MODEL-DRIFT."""
-    return 1 if any(v.failed for v in verdicts) else 0
 
 
 # -- text status ------------------------------------------------------------

@@ -30,8 +30,9 @@ Everything is seeded and bit-reproducible. The degenerate
 configuration — one shard, zero faults, no hedging, no shedding —
 reproduces :func:`repro.serve.service.simulate` timelines exactly, and
 the single-shard pricer reproduces ``baselines/perf.json`` bit-for-bit
-(:func:`repro.serve.shard.check_sharded_baseline`), so MODEL-DRIFT
-stays green.
+(:func:`repro.serve.service.check_serving_baseline` over
+:func:`repro.serve.shard.whole_fleet_pricer`), so MODEL-DRIFT stays
+green.
 
 The **RESILIENCE gate** locks degraded-fleet SLO attainment per
 (fault seed × shard count × QPS) point in ``baselines/resilience.json``
@@ -39,18 +40,28 @@ The **RESILIENCE gate** locks degraded-fleet SLO attainment per
 sweeps healthy and one-dead-shard fleets across shard counts, records
 per-point attainment/latency/breaker/hedge scalars, and
 :func:`check_resilience_runs` demands exact equality — any difference
-is ``RESILIENCE-DRIFT``.
+is ``RESILIENCE-DRIFT``. :data:`GATE` plugs both into the shared
+record/check/report stack (:mod:`repro.obs.gate`).
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 from repro.errors import ParameterError, PermanentDeviceError
 from repro.obs.energy import exact_diffs
+from repro.obs.gate import (
+    SCHEMA_VERSION,
+    VERDICT_NEW,
+    VERDICT_OK,
+    VERDICT_RESILIENCE_DRIFT,
+    Gate,
+    Verdict,
+    read_doc,
+)
 from repro.obs.metrics import get_registry
+from repro.obs.perf import GATE as PERF_GATE
 from repro.obs.runident import run_identity
 from repro.obs.slo import (
     VERDICT_SLO_BREACH,
@@ -62,27 +73,23 @@ from repro.pim.config import UPMEMConfig
 from repro.pim.faults import DEFAULT_RETRY_POLICY, FaultPlan
 from repro.serve.scheduler import BatchScheduler, RequestTimeline
 from repro.serve.service import (
-    SCHEMA_VERSION,
     RequestClass,
     ServeSpec,
     _admitted_arrivals,
+    check_serving_baseline,
 )
 from repro.serve.shard import (
     ShardedPricer,
-    check_sharded_baseline,
     home_shard,
     make_layout,
+    whole_fleet_pricer,
 )
 
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
-    "VERDICT_RESIL_OK",
-    "VERDICT_RESIL_NEW",
-    "VERDICT_RESIL_DRIFT",
-    "DEFAULT_RESIL_BASELINE_PATH",
-    "DEFAULT_RESIL_HISTORY_PATH",
+    "GATE",
     "DEFAULT_RESIL_SEEDS",
     "DEFAULT_SHARD_COUNTS",
     "DEFAULT_RESIL_QPS",
@@ -95,29 +102,13 @@ __all__ = [
     "degraded_plan",
     "capture_resilience_run",
     "check_resilience_runs",
-    "resilience_exit_code",
-    "render_resilience_check",
     "render_resilience_text",
-    "write_resilience_run",
-    "read_resilience_run",
-    "append_resilience_history",
-    "read_resilience_history",
     "emit_resilient_spans",
 ]
 
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
-
-VERDICT_RESIL_OK = "ok"
-VERDICT_RESIL_NEW = "new"
-VERDICT_RESIL_DRIFT = "RESILIENCE-DRIFT"
-
-#: Where ``repro resil record`` writes the committed gate baseline.
-DEFAULT_RESIL_BASELINE_PATH = "baselines/resilience.json"
-
-#: Where every recorded resilience run is appended, one JSON per line.
-DEFAULT_RESIL_HISTORY_PATH = "baselines/resilience-history.jsonl"
 
 #: Fault seeds swept by the default RESILIENCE gate grid (matches the
 #: CI chaos matrix).
@@ -952,8 +943,9 @@ def capture_resilience_run(
     doc["points"] = points
     doc["capacity"] = capacity
     if baseline is not None:
-        doc["baseline_check"] = check_sharded_baseline(
+        doc["baseline_check"] = check_serving_baseline(
             baseline,
+            whole_fleet_pricer,
             workload=workload,
             security_levels=(security_bits,),
             ops_per_request=ops_per_request,
@@ -961,88 +953,7 @@ def capture_resilience_run(
     return doc
 
 
-# -- persistence -------------------------------------------------------------
-
-
-def _validate_resilience_run(doc, source: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParameterError(
-            f"{source}: resilience document must be a JSON object"
-        )
-    if (
-        doc.get("schema") != SCHEMA_VERSION
-        or doc.get("kind") != "resilience-baseline"
-    ):
-        raise ParameterError(
-            f"{source}: unsupported resilience document "
-            f"(schema {doc.get('schema')!r}, kind {doc.get('kind')!r}); "
-            "re-record with 'repro resil record'"
-        )
-    if not isinstance(doc.get("points"), dict):
-        raise ParameterError(f"{source}: resilience document missing 'points'")
-    return doc
-
-
-def write_resilience_run(doc: dict, path) -> None:
-    """Write one resilience document as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def read_resilience_run(path) -> dict:
-    """Read and schema-validate a resilience document."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ParameterError(
-            f"no resilience baseline at {path}; record one with "
-            "'repro resil record'"
-        )
-    return _validate_resilience_run(
-        json.loads(path.read_text()), str(path)
-    )
-
-
-def append_resilience_history(doc: dict, path) -> None:
-    """Append one resilience document to the JSONL history."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as handle:
-        handle.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def read_resilience_history(path) -> list:
-    """Every resilience document in the history (missing file = [])."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    return [
-        _validate_resilience_run(json.loads(line), str(path))
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
-
-
 # -- the check ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResilienceVerdict:
-    """One grid point's (or the config's) comparison outcome."""
-
-    point: str
-    verdict: str
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == VERDICT_RESIL_DRIFT
-
-    def describe(self) -> str:
-        line = f"[{self.verdict:>16}] {self.point}"
-        for note in self.notes:
-            line += f"\n                   - {note}"
-        return line
 
 
 #: Top-level scalar fields compared as the ``<resil-config>`` row.
@@ -1082,10 +993,10 @@ def check_resilience_runs(baseline: dict, current: dict) -> list:
             )
         )
     verdicts.append(
-        ResilienceVerdict(
+        Verdict(
             "<resil-config>",
-            VERDICT_RESIL_DRIFT if config_notes else VERDICT_RESIL_OK,
-            notes=tuple(config_notes),
+            VERDICT_RESILIENCE_DRIFT if config_notes else VERDICT_OK,
+            tuple(config_notes),
         )
     )
     for family in ("points", "capacity", "baseline_check"):
@@ -1104,61 +1015,22 @@ def check_resilience_runs(baseline: dict, current: dict) -> list:
             base = base_family.get(key)
             if base is None:
                 verdicts.append(
-                    ResilienceVerdict(
+                    Verdict(
                         label,
-                        VERDICT_RESIL_NEW,
-                        notes=("not in baseline; adopt with --update",),
+                        VERDICT_NEW,
+                        ("not in baseline; adopt with --update",),
                     )
                 )
                 continue
             notes = exact_diffs("", base, cur_family[key])
             verdicts.append(
-                ResilienceVerdict(
+                Verdict(
                     label,
-                    VERDICT_RESIL_DRIFT if notes else VERDICT_RESIL_OK,
-                    notes=tuple(notes),
+                    VERDICT_RESILIENCE_DRIFT if notes else VERDICT_OK,
+                    tuple(notes),
                 )
             )
     return verdicts
-
-
-def resilience_exit_code(verdicts) -> int:
-    """0 when nothing drifted, 1 otherwise."""
-    return 1 if any(v.failed for v in verdicts) else 0
-
-
-def render_resilience_check(
-    verdicts, baseline: dict, current: dict
-) -> str:
-    """The RESILIENCE gate report as aligned text with a summary."""
-    lines = [
-        "resilience check — current capture vs committed baseline",
-        f"  baseline: run {str(baseline.get('run_id', '?'))[:12]} "
-        f"({baseline.get('created_at', '?')}, "
-        f"git {str(baseline.get('git_sha'))[:12]})",
-        f"  current:  run {str(current.get('run_id', '?'))[:12]} "
-        f"({current.get('created_at', '?')}, "
-        f"git {str(current.get('git_sha'))[:12]})",
-        "",
-    ]
-    lines.extend(v.describe() for v in verdicts)
-    counts: dict = {}
-    for v in verdicts:
-        counts[v.verdict] = counts.get(v.verdict, 0) + 1
-    lines.append("")
-    lines.append(
-        "summary: "
-        + ", ".join(
-            f"{counts.get(k, 0)} {k}"
-            for k in (
-                VERDICT_RESIL_OK,
-                VERDICT_RESIL_NEW,
-                VERDICT_RESIL_DRIFT,
-            )
-        )
-        + f" of {len(verdicts)} checks"
-    )
-    return "\n".join(lines)
 
 
 def render_resilience_text(doc: dict) -> str:
@@ -1222,3 +1094,68 @@ def render_resilience_text(doc: dict) -> str:
             f"({verdict['class']}) -> {verdict['verdict']}"
         )
     return "\n".join(lines)
+
+
+def _capture(args, baseline, progress) -> dict:
+    perf = None
+    if not args.skip_baseline and os.path.exists(args.perf_baseline):
+        perf = read_doc(args.perf_baseline, PERF_GATE)
+    if baseline is None:
+        grid = dict(
+            workload=args.workload,
+            security_bits=args.security,
+            seeds=args.seeds,
+            shard_counts=args.shards,
+            qps_grid=args.qps,
+            duration_s=args.duration,
+            breaker=BreakerSpec(
+                failure_threshold=args.breaker_threshold,
+                cooldown_s=args.breaker_cooldown_ms * 1e-3,
+            ),
+            retry_budget=args.retry_budget,
+            hedge_after_s=(
+                args.hedge_after_ms * 1e-3
+                if args.hedge_after_ms is not None
+                else None
+            ),
+        )
+    else:
+        # Re-simulate exactly the recorded grid, not the CLI defaults.
+        config = baseline["config"]
+        grid = dict(
+            workload=baseline["workload"],
+            security_bits=baseline["security_bits"],
+            seeds=baseline["seeds"],
+            shard_counts=baseline["shard_counts"],
+            qps_grid=baseline["qps_grid"],
+            duration_s=baseline["duration_s"],
+            breaker=BreakerSpec(**config["breaker"]),
+            retry_budget=config["retry_budget"],
+            hedge_after_s=config["hedge_after_s"],
+            shed_burn_threshold=config["shed_burn_threshold"],
+        )
+    return capture_resilience_run(**grid, baseline=perf, progress=progress)
+
+
+#: RESILIENCE-DRIFT: degraded-fleet SLO attainment per grid point.
+GATE = Gate(
+    name="resil",
+    key="points",
+    kind="resilience-baseline",
+    record_hint="repro resil record",
+    baseline="baselines/resilience.json",
+    history="baselines/resilience-history.jsonl",
+    drift=VERDICT_RESILIENCE_DRIFT,
+    drift_cause=(
+        "every point is deterministic modelled arithmetic; drift means "
+        "routing, breakers, hedging, or pricing changed"
+    ),
+    capture=_capture,
+    compare=lambda baseline, current, args: check_resilience_runs(
+        baseline, current
+    ),
+    summary=lambda doc: (
+        f"{render_resilience_text(doc)}\n"
+        f"recorded {len(doc['points'])} resilience points"
+    ),
+)

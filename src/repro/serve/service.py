@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pathlib
 from dataclasses import dataclass, field, replace
 
 from repro.backends import get_backend
@@ -43,6 +42,7 @@ from repro.core.params import BFVParameters
 from repro.core.planner import CircuitShape, HeadroomGuard, plan_budget
 from repro.errors import ParameterError
 from repro.harness.chaos import plan_for_healthy_fraction
+from repro.obs.gate import SCHEMA_VERSION, Doc
 from repro.obs.metrics import get_registry
 from repro.obs.runident import run_identity
 from repro.obs.slo import (
@@ -67,18 +67,14 @@ __all__ = [
     "ServeResult",
     "simulate",
     "sweep_capacity",
+    "serving_pricer",
     "check_serving_baseline",
-    "baseline_exit_code",
-    "write_serve_sweep",
-    "read_serve_sweep",
+    "SWEEP_DOC",
     "render_point_text",
     "render_sweep_text",
     "timelines_to_chrome_trace",
     "emit_request_spans",
 ]
-
-#: Version stamped into every serving document.
-SCHEMA_VERSION = 1
 
 #: Offered-QPS grid swept by default (requests/s per class).
 DEFAULT_QPS_GRID = (1000.0, 4000.0, 16000.0)
@@ -650,21 +646,31 @@ def _recalled_point(registry, key_prefix: str, qps: float):
 # -- the zero-fault bit-identity gate ----------------------------------------
 
 
+def serving_pricer(cls: RequestClass):
+    """The fault-free serving pricer of one class: requests -> breakdown."""
+    pricer = _make_pricer(ServeSpec(classes=(cls,), healthy=1.0))
+    return lambda n_requests: pricer(cls.key, n_requests)
+
+
 def check_serving_baseline(
     baseline: dict,
+    pricer_for=serving_pricer,
     workload: str = "vec_add",
     security_levels=(27, 54, 109),
     ops_per_request: int = 64,
 ) -> list:
-    """Gate the serving pricer against ``baselines/perf.json``.
+    """Gate a serving pricer against ``baselines/perf.json``.
 
     For every experiment whose cells are ``workload`` at one of the
     requested security levels, price the experiment's canonical batch
-    ladder through the *serving* pricing path (fault-free, one launch
-    per batch size) and compare the accumulated pim milliseconds to the
-    committed series total — which must match **bit-for-bit**, exactly
-    like the grid's fault-free cells. Returns verdict dicts with
-    ``verdict`` in {"ok", "MODEL-DRIFT", "new"}.
+    ladder through ``pricer_for(cls)`` — a fault-free pricer of one
+    request class taking a request count, by default the plain serving
+    path (:func:`serving_pricer`; the resilience gate passes the
+    single-shard one, :func:`repro.serve.shard.whole_fleet_pricer`) —
+    one launch per batch size, and compare the accumulated pim
+    milliseconds to the committed series total, which must match
+    **bit-for-bit**, exactly like the grid's fault-free cells. Returns
+    verdict dicts with ``verdict`` in {"ok", "MODEL-DRIFT", "new"}.
     """
     from repro.obs.registry import EXPERIMENT_CELLS
 
@@ -680,23 +686,16 @@ def check_serving_baseline(
             spec_ops = 1
         else:
             spec_ops = ops_per_request
-        spec = ServeSpec(
-            classes=(
-                RequestClass(
-                    workload=workload,
-                    security_bits=bits,
-                    rate_qps=1.0,
-                    ops_per_request=spec_ops,
-                ),
-            ),
-            healthy=1.0,
+        cls = RequestClass(
+            workload=workload,
+            security_bits=bits,
+            rate_qps=1.0,
+            ops_per_request=spec_ops,
         )
-        pricer = _make_pricer(spec)
-        class_key = spec.classes[0].key
+        price = pricer_for(cls)
         total_ms = 0.0
         for batch in batches:
-            breakdown = pricer(class_key, batch // spec_ops)
-            total_ms += breakdown.seconds * 1e3
+            total_ms += price(batch // spec_ops).seconds * 1e3
         recorded = (
             baseline.get("experiments", {})
             .get(eid, {})
@@ -713,7 +712,7 @@ def check_serving_baseline(
         verdicts.append(
             {
                 "experiment": eid,
-                "class": class_key,
+                "class": cls.key,
                 "expected_ms": recorded,
                 "got_ms": total_ms,
                 "verdict": verdict,
@@ -722,50 +721,13 @@ def check_serving_baseline(
     return verdicts
 
 
-def baseline_exit_code(verdicts) -> int:
-    """Non-zero when any serving baseline verdict is MODEL-DRIFT."""
-    return (
-        1
-        if any(v["verdict"] == "MODEL-DRIFT" for v in verdicts)
-        else 0
-    )
-
-
-# -- persistence ------------------------------------------------------------
-
-
-def _validate_sweep(doc, source: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParameterError(
-            f"{source}: serving sweep must be a JSON object"
-        )
-    if doc.get("schema") != SCHEMA_VERSION or doc.get("kind") != "serve-sweep":
-        raise ParameterError(
-            f"{source}: unsupported serving-sweep document "
-            f"(schema {doc.get('schema')!r}, kind {doc.get('kind')!r}); "
-            "re-record with 'repro serve sweep'"
-        )
-    if not isinstance(doc.get("cells"), dict):
-        raise ParameterError(f"{source}: serving sweep missing 'cells'")
-    return doc
-
-
-def write_serve_sweep(doc: dict, path) -> None:
-    """Write one capacity-sweep document as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def read_serve_sweep(path) -> dict:
-    """Read and schema-validate a capacity-sweep document."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ParameterError(
-            f"no serving sweep at {path}; record one with "
-            "'repro serve sweep -o <file>'"
-        )
-    return _validate_sweep(json.loads(path.read_text()), str(path))
+#: What a capacity-sweep document (``repro serve sweep -o``) must carry.
+SWEEP_DOC = Doc(
+    name="serving sweep",
+    key="cells",
+    kind="serve-sweep",
+    record_hint="repro serve sweep -o <file>",
+)
 
 
 # -- rendering ---------------------------------------------------------------

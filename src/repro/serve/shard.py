@@ -16,8 +16,8 @@ complete UPMEM system in miniature:
   unmodified :class:`~repro.pim.runtime.PIMRuntime` whose config is
   the shard's slice of the fleet, under the shard's
   :meth:`~repro.pim.faults.FaultPlan.shard_view`;
-* :func:`check_sharded_baseline` — the bit-identity gate: the
-  single-shard zero-fault pricer must reproduce
+* :func:`whole_fleet_pricer` — the single-shard zero-fault pricer,
+  which :func:`repro.serve.service.check_serving_baseline` holds to
   ``baselines/perf.json`` series totals exactly (a single shard of the
   whole fleet *is* the whole fleet, so MODEL-DRIFT stays green).
 
@@ -42,7 +42,7 @@ __all__ = [
     "make_layout",
     "home_shard",
     "ShardedPricer",
-    "check_sharded_baseline",
+    "whole_fleet_pricer",
 ]
 
 #: The serving backend name stamped into sharded breakdowns.
@@ -280,67 +280,14 @@ class ShardedPricer:
         return merged
 
 
-def check_sharded_baseline(
-    baseline: dict,
-    workload: str = "vec_add",
-    security_levels=(27, 54, 109),
-    ops_per_request: int = 64,
-) -> list:
-    """Gate the single-shard zero-fault pricer against ``perf.json``.
+def whole_fleet_pricer(cls):
+    """The single-shard zero-fault pricer of one class: requests -> breakdown.
 
     The one-shard layout of the whole fleet under an inactive fault
-    plan must price every experiment's canonical batch ladder to the
-    committed series totals **bit-for-bit** — the sharded path adds
-    machinery, never arithmetic. Returns the same verdict dicts as
-    :func:`repro.serve.service.check_serving_baseline` (``"ok"`` /
-    ``"MODEL-DRIFT"`` / ``"new"``).
+    plan. Passed to :func:`repro.serve.service.check_serving_baseline`
+    it must reproduce ``baselines/perf.json`` bit-for-bit — the sharded
+    path adds machinery, never arithmetic.
     """
-    from repro.obs.registry import EXPERIMENT_CELLS
-    from repro.serve.service import RequestClass
-
     config = UPMEMConfig()
-    layout = make_layout(1, config)
-    verdicts = []
-    for eid, (cell_workload, bits, batches) in sorted(
-        EXPERIMENT_CELLS.items()
-    ):
-        if cell_workload != workload or bits not in security_levels:
-            continue
-        if any(b % ops_per_request for b in batches):
-            spec_ops = 1
-        else:
-            spec_ops = ops_per_request
-        cls = RequestClass(
-            workload=workload,
-            security_bits=bits,
-            rate_qps=1.0,
-            ops_per_request=spec_ops,
-        )
-        pricer = ShardedPricer((cls,), layout, FaultPlan(), config)
-        total_ms = 0.0
-        for batch in batches:
-            breakdown = pricer.price(0, cls.key, batch // spec_ops)
-            total_ms += breakdown.seconds * 1e3
-        recorded = (
-            baseline.get("experiments", {})
-            .get(eid, {})
-            .get("modelled", {})
-            .get("series_totals", {})
-            .get(SHARD_BACKEND)
-        )
-        if recorded is None:
-            verdict = "new"
-        elif recorded == total_ms:
-            verdict = "ok"
-        else:
-            verdict = "MODEL-DRIFT"
-        verdicts.append(
-            {
-                "experiment": eid,
-                "class": cls.key,
-                "expected_ms": recorded,
-                "got_ms": total_ms,
-                "verdict": verdict,
-            }
-        )
-    return verdicts
+    pricer = ShardedPricer((cls,), make_layout(1, config), FaultPlan(), config)
+    return lambda n_requests: pricer.price(0, cls.key, n_requests)

@@ -9,6 +9,7 @@ from repro.harness import chaos
 from repro.harness.cli import EXIT_DATA, main
 from repro.harness.runner import run_experiment
 from repro.obs.baseline import _series_totals
+from repro.obs.gate import read_doc, write_doc
 from repro.pim.config import UPMEMConfig
 
 CFG = UPMEMConfig()
@@ -89,18 +90,18 @@ class TestSweepDocument:
 class TestSweepPersistence:
     def test_round_trip(self, sweep, tmp_path):
         path = tmp_path / "sweep.json"
-        chaos.write_sweep(sweep, path)
-        assert chaos.read_sweep(path) == sweep
+        write_doc(sweep, path)
+        assert read_doc(path, chaos.SWEEP_DOC) == sweep
 
     def test_missing_file_names_the_remedy(self, tmp_path):
         with pytest.raises(ParameterError, match="repro faults sweep"):
-            chaos.read_sweep(tmp_path / "absent.json")
+            read_doc(tmp_path / "absent.json", chaos.SWEEP_DOC)
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"schema": 99, "experiments": {}}))
         with pytest.raises(ParameterError, match="schema"):
-            chaos.read_sweep(path)
+            read_doc(path, chaos.SWEEP_DOC)
 
     def test_text_rendering(self, sweep):
         text = chaos.render_sweep_text(sweep)
@@ -176,7 +177,7 @@ class TestFaultsCLI:
         )
         assert status == 0
         assert "degraded-fleet sweep" in capsys.readouterr().out
-        doc = chaos.read_sweep(out)
+        doc = read_doc(out, chaos.SWEEP_DOC)
         assert [p["healthy"] for p in doc["experiments"]["fig1a"]["points"]] == [
             1.0,
             0.9,
@@ -185,7 +186,7 @@ class TestFaultsCLI:
 
     def test_html_from_recorded_sweep(self, tmp_path, capsys):
         sweep_path = tmp_path / "sweep.json"
-        chaos.write_sweep(
+        write_doc(
             chaos.sweep_degraded_fleet(ids=["fig1a"], grid=[1.0, 0.9]),
             sweep_path,
         )

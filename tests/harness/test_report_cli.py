@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.cli import build_parser, main
+from repro.harness.cli import EXIT_ERROR, build_parser, main
 from repro.harness.experiments import ExperimentRow, get_experiment
 from repro.harness.report import (
     format_experiment,
@@ -80,8 +80,8 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_run_unknown_experiment_raises(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError):
-            main(["run", "fig99"])
+    def test_run_unknown_experiment_exits_error(self, capsys):
+        assert main(["run", "fig99"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "ExperimentError" in err and "fig99" in err
+        assert "Traceback" not in err

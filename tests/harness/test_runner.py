@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.harness.cli import main
+from repro.harness.cli import EXIT_ERROR, main
 from repro.harness.experiments import EXPERIMENTS, Experiment
 from repro.harness.runner import BatchResults, run_all, run_experiment
 
@@ -180,9 +180,10 @@ class TestKeepGoingCLI:
         assert "1 of 2 experiments failed" in captured.err
         assert "fig1a" in captured.out  # the good experiment still printed
 
-    def test_cli_without_flag_raises(self, broken_experiment):
-        with pytest.raises(ExperimentError):
-            main(["run", "broken"])
+    def test_cli_without_flag_exits_error(self, broken_experiment, capsys):
+        assert main(["run", "broken"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "ExperimentError" in err and "synthetic failure" in err
 
     def test_cli_success_exits_zero(self, capsys):
         assert main(["run", "fig1a"]) == 0

@@ -6,6 +6,14 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.obs import baseline as bl
+from repro.obs.gate import (
+    append_history,
+    find_run,
+    read_doc,
+    read_history,
+    write_doc,
+)
+from repro.obs.perf import GATE as PERF
 
 
 @pytest.fixture(scope="module")
@@ -91,62 +99,62 @@ class TestCaptureExperiment:
 class TestPersistence:
     def test_round_trip(self, run_doc, tmp_path):
         path = tmp_path / "perf.json"
-        bl.write_run(run_doc, path)
-        assert bl.read_run(path) == run_doc
+        write_doc(run_doc, path)
+        assert read_doc(path, PERF) == run_doc
 
     def test_missing_file_names_the_remedy(self, tmp_path):
         with pytest.raises(ParameterError, match="repro perf record"):
-            bl.read_run(tmp_path / "absent.json")
+            read_doc(tmp_path / "absent.json", PERF)
 
     def test_unknown_schema_rejected(self, run_doc, tmp_path):
         path = tmp_path / "perf.json"
         doc = dict(run_doc, schema=99)
         path.write_text(json.dumps(doc))
         with pytest.raises(ParameterError, match="schema"):
-            bl.read_run(path)
+            read_doc(path, PERF)
 
     def test_malformed_document_rejected(self, tmp_path):
         path = tmp_path / "perf.json"
         path.write_text(json.dumps({"schema": bl.SCHEMA_VERSION}))
         with pytest.raises(ParameterError, match="experiments"):
-            bl.read_run(path)
+            read_doc(path, PERF)
 
 
 class TestHistory:
     def test_append_and_read(self, run_doc, tmp_path):
         path = tmp_path / "history.jsonl"
-        bl.append_history(run_doc, path)
+        append_history(run_doc, path)
         other = dict(run_doc, run_id="f" * 32)
-        bl.append_history(other, path)
-        history = bl.read_history(path)
+        append_history(other, path)
+        history = read_history(path, PERF)
         assert [doc["run_id"] for doc in history] == [
             run_doc["run_id"],
             "f" * 32,
         ]
 
     def test_read_missing_history_is_empty(self, tmp_path):
-        assert bl.read_history(tmp_path / "none.jsonl") == []
+        assert read_history(tmp_path / "none.jsonl", PERF) == []
 
     def test_find_run_by_prefix_and_by_path(self, run_doc, tmp_path):
         history = tmp_path / "history.jsonl"
-        bl.append_history(run_doc, history)
-        found = bl.find_run(run_doc["run_id"][:8], history)
+        append_history(run_doc, history)
+        found = find_run(run_doc["run_id"][:8], history, PERF)
         assert found["run_id"] == run_doc["run_id"]
         path = tmp_path / "run.json"
-        bl.write_run(run_doc, path)
-        assert bl.find_run(str(path), history)["run_id"] == run_doc["run_id"]
+        write_doc(run_doc, path)
+        assert find_run(str(path), history, PERF)["run_id"] == run_doc["run_id"]
 
     def test_find_run_prefers_newest_match(self, run_doc, tmp_path):
         history = tmp_path / "history.jsonl"
-        bl.append_history(dict(run_doc, run_id="a" * 32), history)
-        bl.append_history(dict(run_doc, run_id="a" * 31 + "b"), history)
-        assert bl.find_run("a" * 31, history)["run_id"] == "a" * 31 + "b"
+        append_history(dict(run_doc, run_id="a" * 32), history)
+        append_history(dict(run_doc, run_id="a" * 31 + "b"), history)
+        assert find_run("a" * 31, history, PERF)["run_id"] == "a" * 31 + "b"
 
     def test_find_run_unknown_reference(self, run_doc, tmp_path):
         history = tmp_path / "history.jsonl"
-        bl.append_history(run_doc, history)
+        append_history(run_doc, history)
         with pytest.raises(ParameterError, match="neither a file"):
-            bl.find_run("zzzz", history)
+            find_run("zzzz", history, PERF)
 
 
 class TestPrepareMetricsLog:

@@ -19,6 +19,14 @@ from repro.backends.energy import CPU_WATTS, GPU_WATTS, PIM_WATTS_PER_DPU
 from repro.errors import ParameterError
 from repro.harness.cli import main
 from repro.obs import energy as en
+from repro.obs.gate import (
+    append_history,
+    exit_code,
+    read_doc,
+    read_history,
+    render_check,
+    write_doc,
+)
 from repro.pim.kernels import VecAddKernel
 from repro.pim.runtime import PIMRuntime
 
@@ -181,21 +189,21 @@ class TestCaptureAndPersistence:
     def test_run_round_trip(self, tmp_path):
         doc = en.capture_energy_run(ids=["fig1a"])
         path = tmp_path / "energy.json"
-        en.write_energy_run(doc, path)
-        assert en.read_energy_run(path) == doc
-        en.append_energy_history(doc, tmp_path / "hist.jsonl")
-        en.append_energy_history(doc, tmp_path / "hist.jsonl")
-        assert en.read_energy_history(tmp_path / "hist.jsonl") == [doc, doc]
+        write_doc(doc, path)
+        assert read_doc(path, en.GATE) == doc
+        append_history(doc, tmp_path / "hist.jsonl")
+        append_history(doc, tmp_path / "hist.jsonl")
+        assert read_history(tmp_path / "hist.jsonl", en.GATE) == [doc, doc]
 
     def test_missing_baseline_raises(self, tmp_path):
         with pytest.raises(ParameterError, match="repro energy record"):
-            en.read_energy_run(tmp_path / "absent.json")
+            read_doc(tmp_path / "absent.json", en.GATE)
 
     def test_schema_mismatch_raises(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"schema": 99, "experiments": {}}))
         with pytest.raises(ParameterError, match="unsupported"):
-            en.read_energy_run(path)
+            read_doc(path, en.GATE)
 
 
 class TestEnergyGate:
@@ -204,7 +212,7 @@ class TestEnergyGate:
         current = en.capture_energy_run(ids=["fig1a"])
         verdicts = en.check_energy_runs(baseline, current)
         assert [v.verdict for v in verdicts] == [en.VERDICT_OK] * 2
-        assert en.exit_code(verdicts) == 0
+        assert exit_code(verdicts) == 0
 
     def test_perturbed_constant_is_energy_drift(self):
         baseline = en.capture_energy_run(ids=["fig1a"])
@@ -214,11 +222,11 @@ class TestEnergyGate:
         with en.use_energy_config(tweaked):
             current = en.capture_energy_run(ids=["fig1a"])
         verdicts = en.check_energy_runs(baseline, current)
-        by_name = {v.experiment: v for v in verdicts}
+        by_name = {v.key: v for v in verdicts}
         assert by_name["<energy-config>"].verdict == en.VERDICT_DRIFT
         assert by_name["fig1a"].verdict == en.VERDICT_DRIFT
-        assert en.exit_code(verdicts) == 1
-        report = en.render_energy_check(verdicts, baseline, current)
+        assert exit_code(verdicts) == 1
+        report = render_check(en.GATE, verdicts, baseline, current)
         assert "ENERGY-DRIFT" in report
         assert "--update" in report
 
@@ -226,9 +234,9 @@ class TestEnergyGate:
         baseline = en.capture_energy_run(ids=["fig1a"])
         current = en.capture_energy_run(ids=["fig1a", "obs_tasklets"])
         verdicts = en.check_energy_runs(baseline, current)
-        by_name = {v.experiment: v for v in verdicts}
+        by_name = {v.key: v for v in verdicts}
         assert by_name["obs_tasklets"].verdict == en.VERDICT_NEW
-        assert en.exit_code(verdicts) == 0
+        assert exit_code(verdicts) == 0
 
 
 class TestEnergyCliEndToEnd:

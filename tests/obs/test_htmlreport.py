@@ -5,6 +5,8 @@ import pytest
 from repro.harness.cli import main
 from repro.obs import baseline as bl
 from repro.obs import htmlreport
+from repro.obs.gate import append_history, read_doc, read_history, write_doc
+from repro.obs.perf import GATE as PERF
 
 
 def make_exp(wall_median=0.01, pim_total=1.25, **overrides):
@@ -109,9 +111,9 @@ class TestWriteAndCLI:
     def test_cli_html_from_history(self, history, tmp_path, capsys):
         history_path = tmp_path / "history.jsonl"
         for doc in history:
-            bl.append_history(doc, history_path)
+            append_history(doc, history_path)
         baseline_path = tmp_path / "perf.json"
-        bl.write_run(history[0], baseline_path)
+        write_doc(history[0], baseline_path)
         out = tmp_path / "dash.html"
         status = main(
             [
@@ -134,7 +136,7 @@ class TestWriteAndCLI:
         self, history, tmp_path, capsys
     ):
         history_path = tmp_path / "history.jsonl"
-        bl.append_history(history[0], history_path)
+        append_history(history[0], history_path)
         status = main(
             [
                 "perf",
@@ -243,8 +245,8 @@ class TestGridDashboard:
         assert "[permanent] Boom: x &lt; y" in document
 
     def test_baseline_and_histories_fold_in(self, drained):
-        baseline = bl.read_run("baselines/perf.json")
-        history = bl.read_history("baselines/history.jsonl")
+        baseline = read_doc("baselines/perf.json", PERF)
+        history = read_history("baselines/history.jsonl", PERF)
         document = htmlreport.render_grid_dashboard(
             drained.cells(),
             drained.runs(),

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.harness.cli import EXIT_DATA, main
+from repro.harness.cli import EXIT_DATA, EXIT_ERROR, main
 
 
 @pytest.fixture()
@@ -125,4 +125,18 @@ class TestExitDataConvention:
         captured = capsys.readouterr()
         assert status == EXIT_DATA
         assert "record a run first" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "nope"], ["profile", "nope"]], ids=lambda v: v[0]
+    )
+    def test_unknown_id_exits_error(self, argv, capsys):
+        """A typed library error is one stderr line and EXIT_ERROR (3):
+        neither a tripped gate (1) nor missing data (2)."""
+        assert EXIT_ERROR not in (1, EXIT_DATA)
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == EXIT_ERROR
+        assert captured.err.count("\n") == 1
+        assert "'nope'" in captured.err
         assert "Traceback" not in captured.err

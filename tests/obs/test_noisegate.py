@@ -9,6 +9,14 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.obs import noisegate as ng
+from repro.obs.gate import (
+    append_history,
+    exit_code,
+    read_doc,
+    read_history,
+    render_check,
+    write_doc,
+)
 from tests.conftest import make_tiny_params
 
 
@@ -81,33 +89,33 @@ class TestCapture:
 class TestPersistence:
     def test_roundtrip(self, tiny_run, tmp_path):
         path = tmp_path / "noise.json"
-        ng.write_noise_run(tiny_run, path)
-        assert ng.read_noise_run(path) == json.loads(path.read_text())
+        write_doc(tiny_run, path)
+        assert read_doc(path, ng.GATE) == json.loads(path.read_text())
 
     def test_missing_baseline_raises(self, tmp_path):
         with pytest.raises(ParameterError, match="repro noise record"):
-            ng.read_noise_run(tmp_path / "absent.json")
+            read_doc(tmp_path / "absent.json", ng.GATE)
 
     def test_unknown_schema_refused(self, tiny_run, tmp_path):
         doc = dict(tiny_run, schema=99)
         path = tmp_path / "future.json"
-        ng.write_noise_run(doc, path)
-        with pytest.raises(ParameterError, match="unsupported noise schema"):
-            ng.read_noise_run(path)
+        write_doc(doc, path)
+        with pytest.raises(ParameterError, match="unsupported noise document"):
+            read_doc(path, ng.GATE)
 
     def test_history_appends(self, tiny_run, tmp_path):
         path = tmp_path / "history.jsonl"
-        assert ng.read_noise_history(path) == []
-        ng.append_noise_history(tiny_run, path)
-        ng.append_noise_history(tiny_run, path)
-        assert len(ng.read_noise_history(path)) == 2
+        assert read_history(path, ng.GATE) == []
+        append_history(tiny_run, path)
+        append_history(tiny_run, path)
+        assert len(read_history(path, ng.GATE)) == 2
 
 
 class TestGate:
     def test_identical_runs_pass(self, tiny_run):
         verdicts = ng.check_noise_runs(tiny_run, copy.deepcopy(tiny_run))
         assert all(v.verdict == ng.VERDICT_OK for v in verdicts)
-        assert ng.exit_code(verdicts) == 0
+        assert exit_code(verdicts) == 0
 
     def test_prediction_shift_is_drift(self, tiny_run):
         current = copy.deepcopy(tiny_run)
@@ -117,7 +125,7 @@ class TestGate:
         drifted = {v.key: v for v in verdicts}["27b/mean"]
         assert drifted.verdict == ng.VERDICT_DRIFT
         assert any("growth model changed" in note for note in drifted.notes)
-        assert ng.exit_code(verdicts) == 1
+        assert exit_code(verdicts) == 1
 
     def test_measurement_shift_is_drift(self, tiny_run):
         current = copy.deepcopy(tiny_run)
@@ -164,11 +172,11 @@ class TestGate:
             "54b/variance",
             "54b/linreg",
         }
-        assert ng.exit_code(verdicts) == 0
+        assert exit_code(verdicts) == 0
 
     def test_render_mentions_identities_and_summary(self, tiny_run):
         verdicts = ng.check_noise_runs(tiny_run, copy.deepcopy(tiny_run))
-        text = ng.render_noise_check(verdicts, tiny_run, tiny_run)
+        text = render_check(ng.GATE, verdicts, tiny_run, tiny_run)
         assert tiny_run["run_id"][:12] in text
         assert "6 ok, 0 new, 0 NOISE-DRIFT of 6 trajectories" in text
 

@@ -11,6 +11,7 @@ import pytest
 from repro.harness.cli import main
 from repro.obs import baseline as bl
 from repro.obs import perf
+from repro.obs.gate import Verdict, append_history, exit_code, render_check
 from repro.obs.perf import (
     VERDICT_DRIFT,
     VERDICT_FASTER,
@@ -51,7 +52,7 @@ class TestWallPolicy:
     def test_faster_is_named_not_failed(self):
         verdict, _ = perf.classify_wall(wall(1.0), wall(0.5))
         assert verdict == VERDICT_FASTER
-        assert not perf.ExperimentVerdict("x", verdict).failed
+        assert not Verdict("x", verdict).failed
 
     def test_zero_baseline_median_is_ok(self):
         verdict, ratio = perf.classify_wall(wall(0.0), wall(1.0))
@@ -157,12 +158,12 @@ class TestCheckRuns:
         assert verdict.verdict == VERDICT_OK
 
     def test_exit_code(self):
-        ok = perf.ExperimentVerdict("a", VERDICT_OK)
-        drift = perf.ExperimentVerdict("b", VERDICT_DRIFT)
-        regression = perf.ExperimentVerdict("c", VERDICT_REGRESSION)
-        assert perf.exit_code([ok]) == 0
-        assert perf.exit_code([ok, drift]) == 1
-        assert perf.exit_code([ok, regression]) == 1
+        ok = Verdict("a", VERDICT_OK)
+        drift = Verdict("b", VERDICT_DRIFT)
+        regression = Verdict("c", VERDICT_REGRESSION)
+        assert exit_code([ok]) == 0
+        assert exit_code([ok, drift]) == 1
+        assert exit_code([ok, regression]) == 1
 
     def test_render_mentions_rebaseline_on_drift(self):
         base = TestModelledPolicy().exp()
@@ -171,7 +172,7 @@ class TestCheckRuns:
         )
         baseline, current = make_run({"e": base}), make_run({"e": cur})
         verdicts = perf.check_runs(baseline, current)
-        text = perf.render_check(verdicts, baseline, current)
+        text = render_check(perf.GATE, verdicts, baseline, current)
         assert "MODEL-DRIFT" in text
         assert "--update" in text
 
@@ -303,8 +304,8 @@ class TestDiff:
         history = tmp_path / "history.jsonl"
         run_a = self.run_with_attribution(1.0)
         run_b = self.run_with_attribution(2.0)
-        bl.append_history(run_a, history)
-        bl.append_history(run_b, history)
+        append_history(run_a, history)
+        append_history(run_b, history)
         status = main(
             [
                 "perf",

@@ -8,7 +8,8 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.obs import registry as reg
-from repro.obs.baseline import read_run
+from repro.obs.gate import exit_code, read_doc
+from repro.obs.perf import GATE as PERF
 
 #: One small grid most tests share: two workloads, truncated batches.
 TINY = dict(
@@ -283,7 +284,7 @@ class TestBaselineCrossCheck:
             max_batches=None,
         )
         reg.drain(registry)
-        baseline = read_run("baselines/perf.json")
+        baseline = read_doc("baselines/perf.json", PERF)
         totals = reg.experiment_totals(registry.cells())
         expected = baseline["experiments"]["fig2a"]["modelled"][
             "series_totals"
@@ -291,9 +292,9 @@ class TestBaselineCrossCheck:
         for series, value in expected.items():
             assert totals["fig2a"][series] == value
         verdicts = reg.check_against_baseline(registry.cells(), baseline)
-        by_eid = {v.experiment: v for v in verdicts}
+        by_eid = {v.key: v for v in verdicts}
         assert by_eid["fig2a"].verdict == reg.VERDICT_OK
-        assert reg.exit_code(verdicts) == 0
+        assert exit_code(verdicts) == 0
 
     def test_drift_detected_on_any_mismatch(self, tmp_path):
         registry = tiny_registry(
@@ -304,21 +305,21 @@ class TestBaselineCrossCheck:
             "UPDATE grid SET modelled_ms = modelled_ms * 1.000001 "
             "WHERE backend = 'pim' AND batch = 640"
         )
-        baseline = read_run("baselines/perf.json")
+        baseline = read_doc("baselines/perf.json", PERF)
         verdicts = reg.check_against_baseline(registry.cells(), baseline)
-        by_eid = {v.experiment: v for v in verdicts}
+        by_eid = {v.key: v for v in verdicts}
         assert by_eid["fig2a"].verdict == reg.VERDICT_DRIFT
-        assert reg.exit_code(verdicts) == 1
+        assert exit_code(verdicts) == 1
 
     def test_partial_while_cells_outstanding(self, tmp_path):
         registry = tiny_registry(
             tmp_path, workloads=("mean",), healthy=(1.0,), max_batches=None
         )
         reg.drain(registry, max_cells=3)
-        baseline = read_run("baselines/perf.json")
+        baseline = read_doc("baselines/perf.json", PERF)
         verdicts = reg.check_against_baseline(registry.cells(), baseline)
         assert {v.verdict for v in verdicts} == {reg.VERDICT_PARTIAL}
-        assert reg.exit_code(verdicts) == 0
+        assert exit_code(verdicts) == 0
 
     def test_unmapped_experiment_reports_new(self, tmp_path):
         """variance (fig2b) has no committed baseline entry: 'new'."""
@@ -329,14 +330,14 @@ class TestBaselineCrossCheck:
             max_batches=None,
         )
         reg.drain(registry)
-        baseline = read_run("baselines/perf.json")
+        baseline = read_doc("baselines/perf.json", PERF)
         verdicts = reg.check_against_baseline(registry.cells(), baseline)
         assert [v.verdict for v in verdicts] == [reg.VERDICT_NEW]
 
     def test_truncated_grid_skips_incomparable_groups(self, tmp_path):
         registry = tiny_registry(tmp_path)  # max_batches=2 truncation
         reg.drain(registry)
-        baseline = read_run("baselines/perf.json")
+        baseline = read_doc("baselines/perf.json", PERF)
         assert reg.check_against_baseline(registry.cells(), baseline) == []
 
     def test_no_baseline_no_verdicts(self, tmp_path):
@@ -372,7 +373,7 @@ class TestRenderStatus:
         monkeypatch.setattr(reg, "run_cell", flaky)
         reg.drain(registry, keep_going=True)
         text = reg.render_status(
-            registry, read_run("baselines/perf.json")
+            registry, read_doc("baselines/perf.json", PERF)
         )
         assert "failed: 3" in text
         assert "RuntimeError: no device" in text
@@ -400,7 +401,7 @@ class TestDriftAnnotations:
     def test_matching_totals_leave_no_perf_stamp(self, tmp_path):
         registry = tiny_registry(tmp_path, max_batches=None)
         reg.drain(registry)
-        baseline = read_run("baselines/perf.json")
+        baseline = read_doc("baselines/perf.json", PERF)
         stamp = reg.drift_annotations(registry.cells(), baseline)
         assert "perf" not in stamp
 

@@ -7,20 +7,20 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.obs.export import validate_chrome_trace
+from repro.obs.gate import read_doc, write_doc
 from repro.obs.registry import GridSpec, RunRegistry
 from repro.obs.slo import VERDICT_SLO_BREACH, VERDICT_SLO_OK
 from repro.serve import (
     RequestClass,
     ServeSpec,
     check_serving_baseline,
-    read_serve_sweep,
     render_point_text,
     render_sweep_text,
     simulate,
     sweep_capacity,
     timelines_to_chrome_trace,
-    write_serve_sweep,
 )
+from repro.serve.service import SWEEP_DOC
 
 _IDENTITY = ("run_id", "created_at", "git_sha")
 
@@ -260,18 +260,18 @@ class TestPersistence:
             duration_s=0.05,
         )
         path = tmp_path / "sweep.json"
-        write_serve_sweep(doc, path)
-        assert read_serve_sweep(path) == doc
+        write_doc(doc, path)
+        assert read_doc(path, SWEEP_DOC) == doc
 
     def test_missing_file_raises_with_hint(self, tmp_path):
         with pytest.raises(ParameterError, match="repro serve sweep"):
-            read_serve_sweep(tmp_path / "absent.json")
+            read_doc(tmp_path / "absent.json", SWEEP_DOC)
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": 1, "kind": "perf-run"}))
         with pytest.raises(ParameterError, match="unsupported"):
-            read_serve_sweep(path)
+            read_doc(path, SWEEP_DOC)
 
 
 class TestChromeTrace:

@@ -8,13 +8,18 @@ import pytest
 from repro.errors import ParameterError
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import FaultPlan
-from repro.serve.service import RequestClass, ServeSpec, _make_pricer
+from repro.serve.service import (
+    RequestClass,
+    ServeSpec,
+    _make_pricer,
+    check_serving_baseline,
+)
 from repro.serve.shard import (
     ShardedPricer,
     ShardLayout,
-    check_sharded_baseline,
     home_shard,
     make_layout,
+    whole_fleet_pricer,
 )
 
 CONFIG = UPMEMConfig()
@@ -133,28 +138,31 @@ class TestSharedBaselineCheck:
         return json.loads((REPO / "baselines" / "perf.json").read_text())
 
     def test_all_ok_against_committed_perf_baseline(self, baseline):
-        verdicts = check_sharded_baseline(baseline)
+        verdicts = check_serving_baseline(baseline, whole_fleet_pricer)
         assert verdicts, "expected vec_add experiments in the baseline"
         assert all(v["verdict"] == "ok" for v in verdicts)
+        # The single-shard ladder is the plain serving ladder, verdict
+        # dict for verdict dict.
+        assert verdicts == check_serving_baseline(baseline)
 
     def test_doctored_baseline_is_model_drift(self, baseline):
         doctored = json.loads(json.dumps(baseline))
-        eid = check_sharded_baseline(baseline)[0]["experiment"]
+        eid = check_serving_baseline(baseline, whole_fleet_pricer)[0]["experiment"]
         doctored["experiments"][eid]["modelled"]["series_totals"][
             "pim"
         ] *= 1.01
         verdicts = {
             v["experiment"]: v["verdict"]
-            for v in check_sharded_baseline(doctored)
+            for v in check_serving_baseline(doctored, whole_fleet_pricer)
         }
         assert verdicts[eid] == "MODEL-DRIFT"
 
     def test_unknown_experiment_is_new(self, baseline):
         trimmed = json.loads(json.dumps(baseline))
-        eid = check_sharded_baseline(baseline)[0]["experiment"]
+        eid = check_serving_baseline(baseline, whole_fleet_pricer)[0]["experiment"]
         del trimmed["experiments"][eid]
         verdicts = {
             v["experiment"]: v["verdict"]
-            for v in check_sharded_baseline(trimmed)
+            for v in check_serving_baseline(trimmed, whole_fleet_pricer)
         }
         assert verdicts[eid] == "new"
