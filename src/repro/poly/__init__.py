@@ -7,14 +7,15 @@ scheme and the baselines need:
 * :mod:`repro.poly.modring` — modular integer arithmetic: Miller–Rabin
   primality, NTT-friendly prime generation, primitive roots, Barrett
   reduction;
-* :mod:`repro.poly.ntt` — the iterative negacyclic Number Theoretic
-  Transform used by the SEAL-style baseline and by the exact
-  big-integer convolution;
+* :mod:`repro.poly.ntt` — the negacyclic Number Theoretic Transform,
+  vectorized one stage at a time over residue rows, used by the
+  SEAL-style baseline and by the exact big-integer convolution;
 * :mod:`repro.poly.polynomial` — the ring element type with addition,
-  negacyclic multiplication (schoolbook and CRT-NTT exact), and scalar
+  negacyclic multiplication (schoolbook and RNS-NTT exact), and scalar
   operations;
 * :mod:`repro.poly.rns` — the Residue Number System representation
-  (SEAL's trick for mapping wide moduli onto native words);
+  (SEAL's trick for mapping wide moduli onto native words) and the
+  30-bit convolution basis of the exact convolution;
 * :mod:`repro.poly.sampling` — the deterministic samplers (uniform,
   ternary, centered binomial) key generation and encryption draw from.
 """

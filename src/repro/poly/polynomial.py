@@ -10,29 +10,24 @@ modular reduction in two places: BFV ciphertext multiplication scales
 the tensor product by ``t/q`` over the rationals, and noise analysis
 reasons over ``Z``. :func:`negacyclic_convolve` therefore computes the
 convolution exactly over the integers — schoolbook for small degrees,
-and a CRT bundle of negacyclic NTTs over 62-bit primes for large ones
-(the standard multiprecision-convolution technique; both paths are
-cross-checked in the tests).
+and for large ones the RNS convolution of
+:func:`repro.poly.rns.exact_negacyclic`: negacyclic NTTs over a basis
+of 30-bit primes, recombined by CRT (the standard multiprecision
+convolution technique; both paths are cross-checked in the tests).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import numbers
 
 from repro.errors import ParameterError
-from repro.poly.modring import find_ntt_prime, inverse_mod
-from repro.poly.ntt import NTTContext
+from repro.poly.rns import exact_negacyclic
 
-#: Degrees at or below this use schoolbook convolution; above, CRT-NTT.
+#: Degrees at or below this use schoolbook convolution; above, RNS-NTT.
 #: 64 keeps the crossover comfortably inside the regime where Python
 #: schoolbook is still fast, while every paper-sized ring (1024–4096)
 #: takes the O(n log n) path.
 SCHOOLBOOK_MAX_DEGREE = 64
-
-#: Bit width of the auxiliary CRT primes used for exact convolution.
-#: 62 bits keeps psi-power precomputation in native-int-friendly range
-#: while minimizing the number of primes needed.
-_CRT_PRIME_BITS = 62
 
 
 def _schoolbook_negacyclic(a: list, b: list, n: int) -> list:
@@ -53,63 +48,6 @@ def _schoolbook_negacyclic(a: list, b: list, n: int) -> list:
     return out
 
 
-@lru_cache(maxsize=32)
-def _crt_ntt_contexts(n: int, count: int) -> tuple:
-    """``count`` NTT contexts over distinct 62-bit primes == 1 mod 2n."""
-    return tuple(
-        NTTContext(n, find_ntt_prime(_CRT_PRIME_BITS, n, index=i))
-        for i in range(count)
-    )
-
-
-@lru_cache(maxsize=64)
-def _crt_recombination(moduli: tuple) -> tuple:
-    """Precompute (Q, [Q_i, Q_i^{-1} mod p_i]) for CRT composition."""
-    product = 1
-    for p in moduli:
-        product *= p
-    partials = []
-    for p in moduli:
-        q_i = product // p
-        partials.append((q_i, inverse_mod(q_i % p, p)))
-    return product, tuple(partials)
-
-
-def _crt_negacyclic(a: list, b: list, n: int) -> list:
-    """Exact negacyclic convolution over Z via CRT-bundled NTTs."""
-    max_a = max((abs(x) for x in a), default=0)
-    max_b = max((abs(x) for x in b), default=0)
-    # |result coefficient| <= n * max|a| * max|b|; need the CRT modulus
-    # to cover the signed range, i.e. Q > 2 * bound.
-    bound = 2 * n * max_a * max_b + 1
-    count = max(1, -(-bound.bit_length() // (_CRT_PRIME_BITS - 1)))
-    while True:
-        contexts = _crt_ntt_contexts(n, count)
-        product = 1
-        for ctx in contexts:
-            product *= ctx.p
-        if product >= bound:
-            break
-        count += 1
-    residue_vectors = [
-        ctx.convolve([x % ctx.p for x in a], [x % ctx.p for x in b])
-        for ctx in contexts
-    ]
-    moduli = tuple(ctx.p for ctx in contexts)
-    q_total, partials = _crt_recombination(moduli)
-    half = q_total // 2
-    out = []
-    for k in range(n):
-        acc = 0
-        for idx, (q_i, q_i_inv) in enumerate(partials):
-            acc += (residue_vectors[idx][k] * q_i_inv % moduli[idx]) * q_i
-        acc %= q_total
-        if acc > half:
-            acc -= q_total
-        out.append(acc)
-    return out
-
-
 def negacyclic_convolve(a: list, b: list, n: int) -> list:
     """Exact product of two integer polynomials mod ``x^n + 1``, over Z.
 
@@ -126,7 +64,7 @@ def negacyclic_convolve(a: list, b: list, n: int) -> list:
         raise ParameterError(f"ring degree must be a power of two: {n}")
     if n <= SCHOOLBOOK_MAX_DEGREE:
         return _schoolbook_negacyclic(a, b, n)
-    return _crt_negacyclic(a, b, n)
+    return exact_negacyclic(a, b, n)
 
 
 class Polynomial:
@@ -216,7 +154,7 @@ class Polynomial:
         return Polynomial([(-x) % q for x in self.coeffs], q)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, int):
+        if isinstance(other, numbers.Integral):
             return self.scalar_mul(other)
         self._check_compatible(other)
         product = negacyclic_convolve(
@@ -229,7 +167,7 @@ class Polynomial:
     def scalar_mul(self, scalar: int) -> "Polynomial":
         """Multiply every coefficient by an integer scalar (mod q)."""
         q = self.modulus
-        s = scalar % q
+        s = int(scalar) % q
         return Polynomial([c * s % q for c in self.coeffs], q)
 
     # -- representation helpers ------------------------------------------

@@ -13,26 +13,38 @@ This module implements that representation for real:
 * :class:`RNSBasis` — a set of distinct NTT-friendly primes with CRT
   composition/decomposition;
 * :class:`RNSPolynomial` — a ring element stored as per-prime residue
-  rows, with add/sub/negate/scalar ops and NTT-domain multiplication.
+  rows, with add/sub/negate/scalar ops and NTT-domain multiplication;
+* :class:`ConvolutionBasis` — the basis of 30-bit NTT primes behind
+  :func:`exact_negacyclic`, the exact big-integer convolution that
+  :func:`repro.poly.polynomial.negacyclic_convolve` runs for every
+  paper-sized ring. All ``k`` residue rows are transformed at once on
+  ``uint64`` and recombined with Garner's algorithm.
 
 It is used three ways: as the functional engine of the CPU-SEAL
-backend, inside the exact big-integer convolution
-(:func:`repro.poly.polynomial.negacyclic_convolve` uses the same CRT
-bundle), and directly in tests that check the two polynomial
-representations implement the same algebra.
+backend, inside the exact big-integer convolution of the BFV scheme,
+and directly in tests that check the two polynomial representations
+implement the same algebra.
 """
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
+
+import numpy as np
 
 from repro.errors import ParameterError
 from repro.poly.modring import find_ntt_prime, inverse_mod
-from repro.poly.ntt import NTTContext
+from repro.poly.ntt import forward_rows, inverse_rows, ntt_context
 
 #: SEAL-style word-sized prime width. SEAL uses primes up to 60 bits so
 #: that lazy Barrett accumulation fits 128-bit products; we follow suit.
 SEAL_PRIME_BITS = 60
+
+#: Width of the primes in the exact-convolution basis. Products of two
+#: residues stay below 2^60, so the transforms and Garner's
+#: recombination run on ``uint64`` without overflow.
+CONVOLUTION_PRIME_BITS = 30
 
 
 class RNSBasis:
@@ -128,11 +140,6 @@ class RNSBasis:
         if value > self.product // 2:
             value -= self.product
         return value
-
-
-@lru_cache(maxsize=128)
-def _ntt_context(n: int, p: int) -> NTTContext:
-    return NTTContext(n, p)
 
 
 class RNSPolynomial:
@@ -251,13 +258,114 @@ class RNSPolynomial:
         return RNSPolynomial(self.basis, rows)
 
     def __mul__(self, other) -> "RNSPolynomial":
-        if isinstance(other, int):
-            return self.scalar_mul(other)
+        if isinstance(other, numbers.Integral):
+            return self.scalar_mul(int(other))
         self._check_compatible(other)
-        rows = []
-        for ra, rb, m in zip(self.rows, other.rows, self.basis.moduli):
-            ctx = _ntt_context(self.n, m)
-            rows.append(ctx.convolve(list(ra), list(rb)))
-        return RNSPolynomial(self.basis, rows)
+        contexts = tuple(ntt_context(self.n, m) for m in self.basis.moduli)
+        dtype = np.result_type(*(ctx.dtype for ctx in contexts))
+        p = np.array(self.basis.moduli, dtype=dtype)[:, None]
+        fa = forward_rows(np.array(self.rows, dtype=dtype), contexts)
+        fb = forward_rows(np.array(other.rows, dtype=dtype), contexts)
+        return RNSPolynomial(
+            self.basis, inverse_rows(fa * fb % p, contexts).tolist()
+        )
 
     __rmul__ = __mul__
+
+
+class ConvolutionBasis(RNSBasis):
+    """The ``count`` largest 30-bit NTT primes ``≡ 1 (mod 2n)``.
+
+    Obtain instances through :meth:`covering`, which picks the smallest
+    basis whose product exceeds a bound and caches it per
+    ``(n, count)``.
+    """
+
+    def __init__(self, n: int, count: int):
+        super().__init__(
+            find_ntt_prime(CONVOLUTION_PRIME_BITS, n, index=i)
+            for i in range(count)
+        )
+        self.contexts = tuple(ntt_context(n, p) for p in self.moduli)
+        self._p = np.array(self.moduli, dtype=np.uint64)[:, None]
+        # Garner: p_j^{-1} modulo every later prime, one column per j.
+        self._garner = [
+            np.array(
+                [inverse_mod(p_j % p_i, p_i) for p_i in self.moduli[j + 1:]],
+                dtype=np.uint64,
+            )[:, None]
+            for j, p_j in enumerate(self.moduli[:-1])
+        ]
+        # Mixed radix of the uint64 words that each pack two digits.
+        self._word_radices = [
+            p_even * p_odd
+            for p_even, p_odd in zip(self.moduli[0::2], self.moduli[1::2])
+        ]
+        # Garner yields c + half in [0, Q) for any |c| <= half.
+        self._half = (self.product - 1) // 2
+        self._half_residues = np.array(
+            [self._half % p for p in self.moduli], dtype=np.uint64
+        )[:, None]
+
+    @classmethod
+    def covering(cls, n: int, bound: int) -> "ConvolutionBasis":
+        """Smallest basis for ring degree ``n`` with product >= ``bound``."""
+        count = max(1, -(-(bound.bit_length() - 1) // CONVOLUTION_PRIME_BITS))
+        while True:
+            basis = _convolution_basis(n, count)
+            if basis.product >= bound:
+                return basis
+            count += 1
+
+    def residues(self, values: list, bits: int) -> np.ndarray:
+        """``k x n`` matrix of signed ``values`` (``|v| < 2^bits``) mod each prime."""
+        if bits < 63:
+            rows = np.array(values, dtype=np.int64) % self._p.astype(np.int64)
+        else:
+            rows = np.array(values, dtype=object) % self._p.astype(object)
+        return rows.astype(np.uint64)
+
+    def compose_centered_rows(self, rows: np.ndarray) -> list:
+        """Signed integers ``c`` with ``|c| <= (Q - 1) / 2`` from residue columns.
+
+        Garner's algorithm turns each column into mixed-radix digits on
+        ``uint64``; each pair of digits packs into one word below 2^60,
+        and one Horner pass over the words builds the Python ints.
+        """
+        p = self._p
+        digits = (rows + self._half_residues) % p
+        for j, inverses in enumerate(self._garner):
+            later = p[j + 1:]
+            lifted = digits[j + 1:] + later - digits[j] % later
+            digits[j + 1:] = lifted % later * inverses % later
+        words = digits[0::2].copy()
+        words[: len(self._word_radices)] += p[0:-1:2] * digits[1::2]
+        value = words[-1].astype(object)
+        for j in range(len(words) - 2, -1, -1):
+            value = value * self._word_radices[j] + words[j].astype(object)
+        return (value - self._half).tolist()
+
+
+@lru_cache(maxsize=64)
+def _convolution_basis(n: int, count: int) -> ConvolutionBasis:
+    return ConvolutionBasis(n, count)
+
+
+def exact_negacyclic(a: list, b: list, n: int) -> list:
+    """Exact negacyclic convolution over Z in the convolution basis.
+
+    ``|result coefficient| <= n * max|a| * max|b|``, so a basis whose
+    product ``Q`` covers twice that bound holds the signed result
+    exactly. Every residue row is transformed at once, multiplied
+    pointwise, inverted and recombined.
+    """
+    max_a = max(max(a), -min(a))
+    max_b = max(max(b), -min(b))
+    basis = ConvolutionBasis.covering(n, 2 * n * max_a * max_b + 1)
+    fa = forward_rows(basis.residues(a, max_a.bit_length()), basis.contexts)
+    if b is a:
+        fb = fa
+    else:
+        fb = forward_rows(basis.residues(b, max_b.bit_length()), basis.contexts)
+    rows = inverse_rows(fa * fb % basis._p, basis.contexts)
+    return basis.compose_centered_rows(rows)

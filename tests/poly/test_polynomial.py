@@ -1,5 +1,6 @@
 """Ring elements: algebra axioms and exact integer convolution."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +9,10 @@ from repro.errors import ParameterError
 from repro.poly.modring import find_ntt_prime
 from repro.poly.polynomial import (
     Polynomial,
-    _crt_negacyclic,
     _schoolbook_negacyclic,
     negacyclic_convolve,
 )
+from tests.poly.ntt_oracle import _crt_negacyclic
 
 Q = find_ntt_prime(40, 64)
 
@@ -95,6 +96,14 @@ class TestRingAxioms:
         expected = Polynomial([c * k % Q for c in a.coeffs], Q)
         assert a.scalar_mul(k) == expected
         assert k * a == expected
+
+    def test_numpy_integer_scalar(self):
+        """numpy integer scalars multiply like ints (numbers.Integral)."""
+        p = Polynomial([1, 2, 3, 4], 97)
+        assert p * np.int64(3) == Polynomial([3, 6, 9, 12], 97)
+        assert np.int64(3) * p == Polynomial([3, 6, 9, 12], 97)
+        wide = Polynomial([1, 2, 3, 4], Q)
+        assert wide * np.int64(-3) == wide.scalar_mul(-3)
 
 
 class TestNegacyclicStructure:

@@ -1,5 +1,6 @@
 """RNS representation: CRT correctness and algebraic agreement."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +131,19 @@ class TestAlgebraicAgreement:
         a = RNSPolynomial.from_coefficients(basis64, list(range(64)))
         q = basis64.product
         assert (a * 7).to_coefficients() == [i * 7 % q for i in range(64)]
+        assert a * np.int64(7) == a * 7
+
+    def test_mul_mixed_width_basis(self):
+        """uint64 rows and object rows in one basis multiply together."""
+        basis = RNSBasis((find_ntt_prime(30, 32), find_ntt_prime(60, 32)))
+        q = basis.product
+        a = [(i * 7919) ** 3 % q for i in range(32)]
+        b = [q - 1 - i for i in range(32)]
+        rns = RNSPolynomial.from_coefficients(
+            basis, a
+        ) * RNSPolynomial.from_coefficients(basis, b)
+        bigint = Polynomial(a, q) * Polynomial(b, q)
+        assert tuple(rns.to_coefficients()) == bigint.coeffs
 
     def test_incompatible_bases_rejected(self, basis64):
         other = RNSBasis((97, 193))
