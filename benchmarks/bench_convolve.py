@@ -16,12 +16,10 @@ With ``--benchmark-disable`` every row runs once as a correctness smoke
 test and records nothing.
 """
 
-import json
 import random
 
 import pytest
 
-from repro import obs
 from repro.poly.modring import find_ntt_prime
 from repro.poly.ntt import ntt_context
 from repro.poly.polynomial import negacyclic_convolve
@@ -29,35 +27,6 @@ from repro.poly.polynomial import negacyclic_convolve
 #: An independent prime (40 bits, outside the 30-bit convolution basis)
 #: that each convolution result is checked against, modulo it.
 CHECK_PRIME_BITS = 40
-
-
-@pytest.fixture
-def record_row(_metrics_log, _run_identity):
-    """Append one benchmark row's timing summary to ``metrics.jsonl``."""
-
-    def _record(name: str, benchmark) -> None:
-        if benchmark.stats is None:  # --benchmark-disable: nothing timed
-            return
-        stats = benchmark.stats.stats
-        registry = obs.MetricsRegistry()
-        registry.gauge(f"{name}.median_s").set(stats.median)
-        registry.gauge(f"{name}.iqr_s").set(stats.iqr)
-        registry.gauge(f"{name}.rounds").set(float(stats.rounds))
-        with open(_metrics_log, "a") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "run_id": _run_identity["run_id"],
-                        "timestamp": _run_identity["created_at"],
-                        "git_sha": _run_identity["git_sha"],
-                        "experiment": "bench_convolve",
-                        "metrics": registry.snapshot(),
-                    }
-                )
-                + "\n"
-            )
-
-    return _record
 
 
 def _operands(n: int, bits: int) -> tuple:

@@ -92,6 +92,40 @@ def regenerate(_metrics_log, _run_identity):
     return _regenerate
 
 
+@pytest.fixture
+def record_row(request, _metrics_log, _run_identity):
+    """Append one benchmark row's timing summary to ``metrics.jsonl``.
+
+    The record's ``experiment`` is the benchmark module's name, and its
+    gauges hold the row's median, IQR and round count in seconds.
+    """
+    import json
+
+    def _record(name: str, benchmark) -> None:
+        if benchmark.stats is None:  # --benchmark-disable: nothing timed
+            return
+        stats = benchmark.stats.stats
+        registry = obs.MetricsRegistry()
+        registry.gauge(f"{name}.median_s").set(stats.median)
+        registry.gauge(f"{name}.iqr_s").set(stats.iqr)
+        registry.gauge(f"{name}.rounds").set(float(stats.rounds))
+        with open(_metrics_log, "a") as handle:
+            handle.write(
+                json.dumps(
+                    {
+                        "run_id": _run_identity["run_id"],
+                        "timestamp": _run_identity["created_at"],
+                        "git_sha": _run_identity["git_sha"],
+                        "experiment": request.module.__name__.rsplit(".", 1)[-1],
+                        "metrics": registry.snapshot(),
+                    }
+                )
+                + "\n"
+            )
+
+    return _record
+
+
 @pytest.fixture(scope="session")
 def tiny_crypto():
     """A small, fast BFV context for real-arithmetic benchmarks."""

@@ -802,23 +802,33 @@ _register(
 )
 
 
-def _run_sim_validation_extension() -> list:
-    from repro.backends.pim import modulus_for_width
-    from repro.pim.dma import dma_cycles
-    from repro.pim.kernels import ReduceSumKernel, TensorMulKernel, VecAddKernel
-    from repro.pim.sim import simulate_kernel
-    from repro.pim.tasklet import pipeline_cycles, split_evenly
+#: Tasklet counts the simulator validation runs every kernel at: either
+#: side of the 11-cycle revolve depth.
+SIM_VALIDATION_TASKLETS = (4, 16)
 
-    config = PIMRuntime().config
-    cases = (
+
+def sim_validation_cases() -> tuple:
+    """The simulator validation's ``(label, kernel, elements)`` cases."""
+    from repro.backends.pim import modulus_for_width
+    from repro.pim.kernels import ReduceSumKernel, TensorMulKernel
+
+    return (
         ("vec_add 128-bit", VecAddKernel(4, modulus_for_width(128)), 4096),
         ("vec_mul 128-bit", VecMulKernel(4), 512),
         ("tensor_mul 128-bit", TensorMulKernel(4), 256),
         ("reduce_sum 128-bit", ReduceSumKernel(4, modulus_for_width(128)), 4096),
     )
+
+
+def _run_sim_validation_extension() -> list:
+    from repro.pim.dma import dma_cycles
+    from repro.pim.sim import simulate_kernel
+    from repro.pim.tasklet import pipeline_cycles, split_evenly
+
+    config = PIMRuntime().config
     rows = []
-    for index, (label, kernel, n_elements) in enumerate(cases):
-        for tasklets in (4, 16):
+    for index, (label, kernel, n_elements) in enumerate(sim_validation_cases()):
+        for tasklets in SIM_VALIDATION_TASKLETS:
             sim = simulate_kernel(kernel, n_elements, tasklets, config)
             cpe = kernel.cycles_per_element()
             compute = pipeline_cycles(

@@ -501,10 +501,11 @@ def profile_experiment(
     Runs the experiment under a recording tracer, collects each
     ``pim.time_kernel.*`` span, and re-simulates every *distinct*
     invocation shape (kernel, per-DPU share, tasklets) on one DPU.
-    Per-DPU shares larger than ``max_elements`` are subsampled to keep
-    the cycle-level simulation tractable — occupancy and the verdict
-    are share-invariant for streaming kernels, and the profile records
-    both the simulated and the full share.
+    Per-DPU shares larger than ``max_elements`` are subsampled, which
+    keeps traces and exported timelines small and the report stable as
+    fleet-level shares change — occupancy and the verdict are
+    share-invariant for streaming kernels, and the profile records both
+    the simulated and the full share.
 
     Returns ``(spans, profiles)`` — the spans so callers can merge the
     host timeline with the simulated device lanes in one Chrome trace.

@@ -4,7 +4,7 @@ The runtime prices kernels with two closed forms — the pipeline bound
 ``max(total_instructions, 11 * slowest_tasklet)`` and the DMA streaming
 cost — combined as ``max(compute, dma)``. Those forms are standard, but
 they are *models*; this module provides the ground truth they are
-checked against: an event-driven simulation of one DPU executing
+checked against: a cycle-exact simulation of one DPU executing
 multiple tasklets, with
 
 * a dispatcher issuing at most one instruction per cycle, round-robin
@@ -15,6 +15,13 @@ multiple tasklets, with
   its transfer (fixed cost + per-byte cost) and *blocks* until it
   completes, while other tasklets keep the pipeline busy.
 
+The simulation is exact but does not walk every cycle. Between events
+(a compute phase ending, a transfer completing) the dispatcher's
+schedule is periodic — each of k ready tasklets issues once every
+max(k, 11) cycles, the paper's pipeline finding — so
+:class:`DPUSimulator` detects the period and advances whole periods in
+closed form (see its docstring for why that is exact).
+
 Kernels are simulated as **streaming programs**: alternating
 (DMA-in, compute, DMA-out) phases over WRAM-sized blocks — the shape of
 every real UPMEM streaming kernel. ``tests/pim/test_sim.py`` and the
@@ -24,15 +31,22 @@ simulation within a few percent across kernels and tasklet counts.
 
 from __future__ import annotations
 
-import heapq
+import bisect
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, TransientDeviceError
 from repro.pim.config import UPMEMConfig
 
 #: Phase kinds.
 COMPUTE = "compute"
 DMA = "dma"
+
+#: Loop-top wait codes for a tasklet with nothing to issue (finished)
+#: and for one blocked on its DMA transfer; a ready tasklet waits 0.
+_IDLE = -2
+_BLOCKED = -1
 
 
 @dataclass(frozen=True)
@@ -116,7 +130,7 @@ class SimTrace:
     occupancy story :mod:`repro.obs.profile` builds on.
     """
 
-    issues: list = field(default_factory=list)  # (cycle, tasklet)
+    issues: list = field(default_factory=list)  # (cycle, tasklet), clock order
     dmas: list = field(
         default_factory=list
     )  # (tasklet, request, start, end, bytes)
@@ -319,19 +333,17 @@ class SimTrace:
             raise ParameterError(
                 f"revolve_cycles must be positive: {revolve_cycles}"
             )
-        import bisect
-        from collections import defaultdict
-
         issues_by_tasklet: dict = defaultdict(list)
-        for cycle, tasklet in self.issues:
+        for cycle, tasklet in self.issues:  # recorded in clock order
             issues_by_tasklet[tasklet].append(cycle)
         blocks_by_tasklet: dict = defaultdict(list)
         for tasklet, request, _start, end, _n in self.dmas:
             blocks_by_tasklet[tasklet].append((request, end))
 
+        stall_cap = revolve_cycles - 1
         activity = {}
         for tasklet in sorted(set(issues_by_tasklet) | set(blocks_by_tasklet)):
-            cycles = sorted(issues_by_tasklet[tasklet])
+            cycles = issues_by_tasklet[tasklet]
             dma_blocked = sum(
                 end - request for request, end in blocks_by_tasklet[tasklet]
             )
@@ -353,10 +365,13 @@ class SimTrace:
                 # Head: no prior issue, so no revolve constraint — any
                 # non-DMA wait is lost arbitration.
                 dispatch_wait += max(0.0, cycles[0] - head_dma)
-                for index in range(1, len(cycles)):
-                    gap = cycles[index] - cycles[index - 1] - 1
-                    non_dma = max(0.0, gap - gap_dma.get(index, 0.0))
-                    stalled = min(non_dma, float(revolve_cycles - 1))
+                for index, (before, after) in enumerate(
+                    zip(cycles, cycles[1:]), 1
+                ):
+                    non_dma = after - before - 1
+                    if index in gap_dma:
+                        non_dma = max(0.0, non_dma - gap_dma[index])
+                    stalled = min(non_dma, stall_cap)
                     revolve_stall += stalled
                     dispatch_wait += non_dma - stalled
                 tail = total_cycles - cycles[-1] - 1
@@ -408,7 +423,37 @@ class _TaskletState:
 
 
 class DPUSimulator:
-    """Event-driven single-DPU simulator."""
+    """Single-DPU simulator that advances whole dispatch periods at once.
+
+    At the top of each step the loop takes a *signature*: the last
+    issuer, plus per tasklet whether it is done, blocked on DMA, or how
+    many cycles its revolve still holds it back (0: ready). The
+    signature says nothing about absolute time, yet it fixes who issues
+    next and what the next signature is — unless a phase runs out of
+    instructions or a blocked tasklet's transfer completes. So once a
+    signature repeats P cycles later, with d_i issues by tasklet i in
+    between, the following P cycles repeat those issues shifted by P.
+
+    :meth:`run` then skips the largest whole number m of repeats that
+    stays clear of every event that would end the pattern:
+
+    * no phase runs out: ``m <= (remaining_i - 1) // d_i``;
+    * no transfer completes inside the skipped cycles:
+      ``clock + m * P <= blocked_until`` for each blocked tasklet;
+    * the watchdog boundary is not crossed: ``clock + m * P <=
+      max_cycles``.
+
+    It moves the clock by m·P, the issue count by m times the period's
+    issues, each tasklet's remaining work down by m·d_i and its next
+    issue slot later by m·P, and with a :class:`SimTrace` replays the
+    period's issues shifted by j·P for j = 1..m. Every skipped cycle is
+    one the per-cycle loop would spend in the same state, so the
+    result, the trace and any watchdog trip are exactly that loop's
+    (``tests/pim/test_sim_differential.py`` checks it against a frozen
+    copy). The signature history restarts at every phase end — the
+    only place a transfer is enqueued or a tasklet finishes — so the
+    loop walks single cycles only around events.
+    """
 
     def __init__(self, config: UPMEMConfig | None = None):
         self.config = config if config is not None else UPMEMConfig()
@@ -444,6 +489,7 @@ class DPUSimulator:
                 f"max_cycles must be positive: {max_cycles}"
             )
         revolve = self.config.pipeline_revolve_cycles
+        n = len(programs)
 
         states = [_TaskletState(p) for p in programs]
         dma_free = [0.0]  # shared engine: time it becomes available
@@ -455,11 +501,14 @@ class DPUSimulator:
             dma_busy += self._advance_into_phase(
                 state, 0.0, dma_free, index, trace
             )
+        live = sum(not s.done for s in states)
+        # Since the last event: the clock and issue count at which each
+        # loop-top signature was last seen, and the issues made.
+        seen: dict = {}
+        issues: list = []
 
-        while any(not s.done for s in states):
+        while live:
             if max_cycles is not None and clock > max_cycles:
-                from repro.errors import TransientDeviceError
-
                 stuck = [i for i, s in enumerate(states) if not s.done]
                 raise TransientDeviceError(
                     f"watchdog: {len(stuck)} tasklet(s) still running "
@@ -467,27 +516,41 @@ class DPUSimulator:
                     f"{stuck[0]})",
                     attempts=1,
                 )
-            # Find ready tasklets: in a compute phase, revolve satisfied,
-            # not blocked on DMA.
-            ready = [
-                i
-                for i, s in enumerate(states)
-                if not s.done
-                and s.remaining > 0
-                and s.next_issue <= clock
-                and s.blocked_until <= clock
+            # Per tasklet: _IDLE (nothing to issue), _BLOCKED (on DMA),
+            # or the cycles until its revolve allows an issue (0: ready).
+            waits = [
+                _IDLE
+                if s.done or s.remaining <= 0
+                else _BLOCKED
+                if s.blocked_until > clock
+                else max(0, s.next_issue - clock)
+                for s in states
             ]
-            if ready:
-                # Round-robin starting after the last issuer.
-                choice = min(
-                    ready,
-                    key=lambda i: ((i - last_issued - 1) % len(states)),
+            signature = (last_issued, *waits)
+            previous = seen.get(signature)
+            if previous is not None:
+                skipped = self._skip_periods(
+                    states, waits, clock, issued, previous, issues,
+                    max_cycles, trace,
                 )
+                if skipped is not None:
+                    clock, issued = skipped
+                    seen.clear()
+                    issues.clear()
+                    continue
+            seen[signature] = (clock, len(issues))
+
+            # Round-robin: the first ready tasklet after the last issuer.
+            if 0 in waits:
+                after = last_issued + 1
+                rotated = waits[after:] + waits[:after]
+                choice = (after + rotated.index(0)) % n
                 state = states[choice]
                 state.remaining -= 1
                 state.next_issue = clock + revolve
                 issued += 1
                 last_issued = choice
+                issues.append((clock, choice))
                 if trace is not None:
                     trace.record_issue(clock, choice)
                 if state.remaining == 0:
@@ -495,33 +558,76 @@ class DPUSimulator:
                     dma_busy += self._advance_into_phase(
                         state, float(clock + 1), dma_free, choice, trace
                     )
+                    if state.done:
+                        live -= 1
+                    seen.clear()
+                    issues.clear()
                 clock += 1
                 continue
             # Nothing issuable: jump to the next event.
-            candidates = []
-            for s in states:
-                if s.done:
-                    continue
-                if s.remaining > 0 and s.blocked_until <= clock:
-                    candidates.append(s.next_issue)
-                elif s.blocked_until > clock:
-                    candidates.append(s.blocked_until)
+            candidates = [
+                s.blocked_until if wait == _BLOCKED else s.next_issue
+                for s, wait in zip(states, waits)
+                if wait != _IDLE
+            ]
             if not candidates:
-                break  # all done
-            clock = max(clock + 1, int(-(-min(candidates) // 1)))
+                raise ParameterError(
+                    f"simulator stalled at cycle {clock} with {live} "
+                    "unfinished tasklet(s) and nothing left to issue"
+                )
+            clock = max(clock + 1, math.ceil(min(candidates)))
 
-        total_cycles = clock
         # Account for a trailing DMA that finishes after the last issue.
-        trailing = max(
-            (s.blocked_until for s in states), default=0.0
-        )
-        total_cycles = max(total_cycles, int(-(-trailing // 1)))
+        trailing = max(s.blocked_until for s in states)
         return SimResult(
-            cycles=total_cycles,
+            cycles=max(clock, math.ceil(trailing)),
             instructions_issued=issued,
             dma_busy_cycles=dma_busy,
-            tasklets=len(programs),
+            tasklets=n,
         )
+
+    @staticmethod
+    def _skip_periods(
+        states, waits, clock, issued, previous, issues, max_cycles, trace
+    ):
+        """Skip whole repeats of the period that ends at ``clock``.
+
+        ``previous`` is the (clock, issue index) at which the current
+        signature was last seen, so ``issues`` from that index on are
+        one period's issues. Skips as many repeats as stay clear of a
+        phase running out, a transfer completing and the watchdog
+        boundary, and returns the new ``(clock, issued)`` — or ``None``
+        when not even one repeat is clear.
+        """
+        start, first_issue = previous
+        length = clock - start
+        period = issues[first_issue:]
+        per_tasklet = Counter(t for _, t in period)
+        limits = [
+            (states[t].remaining - 1) // count
+            for t, count in per_tasklet.items()
+        ]
+        limits.extend(
+            int((s.blocked_until - clock) // length)
+            for s, wait in zip(states, waits)
+            if wait == _BLOCKED
+        )
+        if max_cycles is not None:
+            limits.append((max_cycles - clock) // length)
+        repeats = min(limits, default=0)
+        if repeats <= 0:
+            return None
+        shift = repeats * length
+        for t, count in per_tasklet.items():
+            states[t].remaining -= repeats * count
+            states[t].next_issue += shift
+        if trace is not None:
+            trace.issues.extend(
+                (cycle + offset, t)
+                for offset in range(length, shift + 1, length)
+                for cycle, t in period
+            )
+        return clock + shift, issued + repeats * len(period)
 
     def _advance_into_phase(
         self,
@@ -534,8 +640,9 @@ class DPUSimulator:
         """Move a tasklet into its next runnable phase.
 
         Consumes consecutive DMA phases (enqueueing them on the shared
-        engine and blocking the tasklet) until a compute phase or the
-        program's end is reached. Returns the DMA busy time added.
+        engine and blocking the tasklet) and empty compute phases until
+        a non-empty compute phase or the program's end is reached.
+        Returns the DMA busy time added.
         """
         busy_added = 0.0
         while True:
@@ -545,8 +652,11 @@ class DPUSimulator:
                 state.remaining = 0
                 return busy_added
             if phase.kind == COMPUTE:
-                state.remaining = phase.amount
-                return busy_added
+                if phase.amount:
+                    state.remaining = phase.amount
+                    return busy_added
+                state.phase_index += 1  # nothing to issue: skip it
+                continue
             # DMA phase: serialize on the shared engine. The tasklet
             # requests the transfer as soon as it is unblocked; the
             # engine starts it when free — the difference is queue wait.

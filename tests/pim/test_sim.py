@@ -187,6 +187,105 @@ class TestModelValidation:
         assert abs(mul_16.series["error %"]) < 1.0
 
 
+class TestValidationGrid:
+    """The analytic-vs-simulated bracket over the whole default grid:
+    the four validation kernels at every container width and at
+    tasklet counts either side of the 11-cycle revolve depth, with the
+    default 64-element WRAM blocks.
+
+    Other block sizes are left out on purpose: at 16 or 256 elements
+    per block a few points fall outside the bracket through the
+    fixed-cost granularity gap (``dma_cycles`` charges one fixed cost
+    per 2 KB transaction, the simulator one per block phase)."""
+
+    @pytest.mark.parametrize("width", [32, 64, 128])
+    @pytest.mark.parametrize(
+        "name", ["vec_add", "vec_mul", "tensor_mul", "reduce_sum"]
+    )
+    def test_bracket_holds(self, name, width):
+        from repro.backends.pim import modulus_for_width
+        from repro.pim.kernels import ReduceSumKernel, TensorMulKernel
+        from repro.pim.tasklet import split_evenly
+
+        limbs = width // 32
+        kernel, n_elements = {
+            "vec_add": (VecAddKernel(limbs, modulus_for_width(width)), 4096),
+            "vec_mul": (VecMulKernel(limbs), 512),
+            "tensor_mul": (TensorMulKernel(limbs), 256),
+            "reduce_sum": (
+                ReduceSumKernel(limbs, modulus_for_width(width)),
+                4096,
+            ),
+        }[name]
+        cpe = kernel.cycles_per_element()
+        dma = dma_cycles(n_elements * kernel.mram_bytes_per_element(), CFG)
+        outside = []
+        for tasklets in (1, 2, 4, 8, 11, 12, 16, 24):
+            sim = simulate_kernel(kernel, n_elements, tasklets, CFG)
+            compute = pipeline_cycles(
+                [round(s * cpe) for s in split_evenly(n_elements, tasklets)],
+                CFG.pipeline_revolve_cycles,
+            )
+            analytic = max(compute, dma)
+            if not analytic * 0.98 <= sim.cycles <= (compute + dma) * 1.03:
+                outside.append((tasklets, sim.cycles, compute, dma))
+        assert outside == []
+
+
+class TestEmptyPhases:
+    """An empty compute phase has nothing to issue: the tasklet moves
+    straight on to its next phase instead of stalling the run."""
+
+    def test_leading_empty_compute_is_skipped(self):
+        with_empty = DPUSimulator(CFG).run(
+            [
+                TaskletProgram(
+                    (
+                        Phase("compute", 0),
+                        Phase("dma", 2048),
+                        Phase("compute", 50),
+                    )
+                )
+            ]
+        )
+        without = DPUSimulator(CFG).run(
+            [TaskletProgram((Phase("dma", 2048), Phase("compute", 50)))]
+        )
+        assert with_empty == without
+        assert with_empty.cycles == 1642
+        assert with_empty.instructions_issued == 50
+
+    def test_empty_compute_between_transfers(self):
+        program = TaskletProgram(
+            (Phase("dma", 512), Phase("compute", 0), Phase("dma", 512))
+        )
+        result = DPUSimulator(CFG).run([program] * 3)
+        assert result.instructions_issued == 0
+        assert result.dma_busy_cycles == pytest.approx(
+            6 * (CFG.dma_fixed_cycles + 512 * CFG.dma_cycles_per_byte)
+        )
+        assert result.cycles == pytest.approx(result.dma_busy_cycles, abs=1)
+
+    def test_only_empty_phases_finish_at_once(self):
+        result = DPUSimulator(CFG).run(
+            [compute_program(0), TaskletProgram((Phase("dma", 0),))]
+        )
+        fixed = CFG.dma_fixed_cycles
+        assert result == SimResult(fixed, 0, float(fixed), 2)
+
+    def test_stalled_tasklet_raises_instead_of_truncating(self, monkeypatch):
+        """A tasklet left unfinished with nothing to issue is an
+        internal error, never a silently shortened run."""
+
+        def stuck(self, state, now, dma_free, tasklet=0, trace=None):
+            state.remaining = 0  # neither runnable nor done
+            return 0.0
+
+        monkeypatch.setattr(DPUSimulator, "_advance_into_phase", stuck)
+        with pytest.raises(ParameterError, match="stalled"):
+            DPUSimulator(CFG).run([compute_program(10)])
+
+
 class TestValidationErrors:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
