@@ -43,27 +43,19 @@ class PIMBackend(Backend):
 
     name = "pim"
 
-    def __post_init__(self):
-        self._kernels: dict = {}
-
     def _kernel_for(self, request: OpRequest):
-        key = (request.op, request.limbs)
-        if key not in self._kernels:
-            limbs = request.limbs
-            if request.op == "vec_add":
-                kernel = VecAddKernel(limbs, modulus_for_width(request.width_bits))
-            elif request.op == "vec_mul":
-                kernel = VecMulKernel(limbs)
-            elif request.op == "tensor_mul":
-                kernel = TensorMulKernel(limbs)
-            elif request.op == "reduce_sum":
-                kernel = ReduceSumKernel(
-                    limbs, modulus_for_width(request.width_bits)
-                )
-            else:  # pragma: no cover - OpRequest already validates
-                raise AssertionError(request.op)
-            self._kernels[key] = kernel
-        return self._kernels[key]
+        """The request's kernel. Building one is cheap: its cost sample
+        is memoised process-wide (:func:`~repro.pim.kernels.base.sample_tally`)."""
+        limbs = request.limbs
+        if request.op == "vec_add":
+            return VecAddKernel(limbs, modulus_for_width(request.width_bits))
+        if request.op == "vec_mul":
+            return VecMulKernel(limbs)
+        if request.op == "tensor_mul":
+            return TensorMulKernel(limbs)
+        if request.op == "reduce_sum":
+            return ReduceSumKernel(limbs, modulus_for_width(request.width_bits))
+        raise AssertionError(request.op)  # pragma: no cover - OpRequest validates
 
     def _price(self, request: OpRequest) -> TimingBreakdown:
         kernel = self._kernel_for(request)

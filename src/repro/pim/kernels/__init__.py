@@ -17,8 +17,8 @@ Each kernel corresponds to one of the paper's device-side routines
 A kernel is simultaneously an *executable* (its ``run_element`` does
 real limb arithmetic via :mod:`repro.mpint`) and a *cost source* (the
 same execution charges an operation tally). Cycle counts per element
-are therefore measured from execution, then cached and scaled — never
-hand-asserted.
+are therefore measured from execution, memoised per kernel shape and
+scaled — never hand-asserted.
 """
 
 from repro.pim.kernels.base import Kernel

@@ -15,11 +15,23 @@ provides:
   billions of limb operations in Python would be pointless).
 
 Both paths run the same ``run_element`` code, so they cannot drift.
+
+The seeded sample is executed at most once per process for each kernel
+shape. :func:`sample_tally` memoises the sample's operation *tally*,
+keyed by :meth:`Kernel.cost_key` (the kernel type plus every
+constructor argument ``run_element`` reads) and the sample size, so
+every instance of the same shape — built per experiment, per backend
+or per sweep point — shares one derivation. The memo holds the tally,
+not a cycle count: the ISA cost table is applied each time the cost is
+read, so pricing the same tally with another table (e.g.
+:func:`~repro.pim.isa.hypothetical_native_mul_table`) stays exactly
+what a fresh sample priced with that table would give.
 """
 
 from __future__ import annotations
 
 import abc
+import copy
 
 import numpy as np
 
@@ -35,6 +47,10 @@ COST_SAMPLE_SIZE = 96
 #: deterministic run to run.
 COST_SAMPLE_SEED = 0x5EED
 
+#: ``(kernel.cost_key(), sample_size)`` -> tally of the seeded cost
+#: sample. Filled by :func:`sample_tally`; never handed out directly.
+_SAMPLE_TALLIES: dict = {}
+
 
 class Kernel(abc.ABC):
     """One device kernel: per-element semantics + memory behaviour."""
@@ -46,7 +62,6 @@ class Kernel(abc.ABC):
         if limbs <= 0:
             raise ParameterError(f"limbs must be positive: {limbs}")
         self.limbs = limbs
-        self._cached_cycles_per_element: float | None = None
 
     # -- per-element contract -------------------------------------------------
 
@@ -58,6 +73,20 @@ class Kernel(abc.ABC):
         tuple of ints for binary kernels); the return value is the
         kernel's per-element output.
         """
+
+    @abc.abstractmethod
+    def cost_key(self) -> tuple:
+        """Identity of this kernel's cost: its type plus every
+        constructor argument ``run_element`` reads.
+
+        Two kernels with equal keys must charge identical tallies for
+        identical elements after :meth:`reset`; :func:`sample_tally`
+        shares one cost sample between them.
+        """
+
+    def reset(self) -> None:
+        """Clear state ``run_element`` carries between elements (none
+        by default)."""
 
     @abc.abstractmethod
     def random_element(self, rng: np.random.Generator):
@@ -90,21 +119,14 @@ class Kernel(abc.ABC):
         return outputs, tally
 
     def cycles_per_element(self) -> float:
-        """Measured expected cycles per element (cached).
+        """Measured expected cycles per element.
 
-        Executes :data:`COST_SAMPLE_SIZE` seeded random elements and
-        prices the resulting tally with the DPU ISA table.
+        Prices the tally of :data:`COST_SAMPLE_SIZE` seeded random
+        elements (:func:`sample_tally`, executed once per process for
+        each :meth:`cost_key`) with the DPU ISA table. The table is
+        applied on every call, so a changed table takes effect at once.
         """
-        if self._cached_cycles_per_element is None:
-            rng = np.random.default_rng(COST_SAMPLE_SEED)
-            elements = [
-                self.random_element(rng) for _ in range(COST_SAMPLE_SIZE)
-            ]
-            _, tally = self.execute(elements)
-            self._cached_cycles_per_element = (
-                cycles_for_tally(tally) / COST_SAMPLE_SIZE
-            )
-        return self._cached_cycles_per_element
+        return cycles_for_tally(sample_tally(self)) / COST_SAMPLE_SIZE
 
     # -- shared memory-access accounting ---------------------------------------
 
@@ -143,6 +165,37 @@ class Kernel(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(limbs={self.limbs})"
+
+
+def measure_sample_tally(kernel: Kernel, sample_size: int) -> OpTally:
+    """Execute the seeded cost sample (uncached) and return its tally.
+
+    Runs on a reset copy of ``kernel``, so the sample starts from a
+    clean state whatever the kernel ran before, and the caller's kernel
+    (e.g. a reduce_sum accumulator) is left untouched.
+    """
+    sampler = copy.copy(kernel)
+    sampler.reset()
+    rng = np.random.default_rng(COST_SAMPLE_SEED)
+    elements = [sampler.random_element(rng) for _ in range(sample_size)]
+    _, tally = sampler.execute(elements)
+    return tally
+
+
+def sample_tally(kernel: Kernel, sample_size: int = COST_SAMPLE_SIZE) -> OpTally:
+    """Total tally of ``sample_size`` seeded random elements (memoised).
+
+    The sample is executed once per process for each
+    ``(kernel.cost_key(), sample_size)``; every call returns a fresh
+    copy, so mutating the result never changes a later read.
+    """
+    if sample_size <= 0:
+        raise ParameterError(f"sample_size must be positive: {sample_size}")
+    key = (kernel.cost_key(), sample_size)
+    tally = _SAMPLE_TALLIES.get(key)
+    if tally is None:
+        tally = _SAMPLE_TALLIES[key] = measure_sample_tally(kernel, sample_size)
+    return OpTally(tally.counts.copy())
 
 
 def random_limb_value(rng: np.random.Generator, limbs: int) -> int:

@@ -50,6 +50,9 @@ class NTTButterflyKernel(Kernel):
         self.modulus = modulus
         self._barrett = BarrettReducer(modulus)
 
+    def cost_key(self) -> tuple:
+        return (type(self), self.limbs, self.modulus)
+
     def _mulmod(self, a: int, b: int, tally: OpTally) -> int:
         """Barrett modular multiply on the 32-bit datapath.
 

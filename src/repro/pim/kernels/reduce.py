@@ -48,6 +48,9 @@ class ReduceSumKernel(Kernel):
         """Clear the running accumulator (between independent runs)."""
         self._accumulator = to_limbs(0, self.limbs)
 
+    def cost_key(self) -> tuple:
+        return (type(self), self.limbs, self.modulus)
+
     def run_element(self, element, tally: OpTally) -> int:
         limbs = self.limbs
         self.charge_loads(tally, limbs)  # only the streamed operand

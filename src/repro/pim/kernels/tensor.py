@@ -32,6 +32,9 @@ class TensorMulKernel(Kernel):
 
     name = "tensor_mul"
 
+    def cost_key(self) -> tuple:
+        return (type(self), self.limbs)
+
     def run_element(self, element, tally: OpTally) -> tuple:
         a0, a1, b0, b1 = element
         limbs = self.limbs

@@ -51,6 +51,9 @@ class VecAddKernel(Kernel):
             None if modulus is None else to_limbs(modulus, limbs)
         )
 
+    def cost_key(self) -> tuple:
+        return (type(self), self.limbs, self.modulus)
+
     def run_element(self, element, tally: OpTally) -> int:
         a, b = element
         limbs = self.limbs

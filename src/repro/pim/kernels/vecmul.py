@@ -42,6 +42,9 @@ class VecMulKernel(Kernel):
             raise ParameterError(f"unknown algorithm {algorithm!r}")
         self.algorithm = algorithm
 
+    def cost_key(self) -> tuple:
+        return (type(self), self.limbs, self.algorithm)
+
     def run_element(self, element, tally: OpTally) -> int:
         a, b = element
         limbs = self.limbs

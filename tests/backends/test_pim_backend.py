@@ -39,11 +39,20 @@ class TestAdapter:
         )
         assert via_backend == pytest.approx(direct.total_seconds)
 
-    def test_kernels_cached(self):
-        backend = PIMBackend()
-        backend.time_op(req())
-        backend.time_op(req(n=8192 * 200, units=200))
-        assert len(backend._kernels) == 1
+    def test_kernel_cost_sampled_once_per_shape(self):
+        """Two backends and two request sizes share one cost sample."""
+        from unittest import mock
+
+        from repro.pim.kernels import base
+
+        with mock.patch.object(base, "_SAMPLE_TALLIES", {}), mock.patch.object(
+            base, "measure_sample_tally", wraps=base.measure_sample_tally
+        ) as measure:
+            first = PIMBackend().time_op(req())
+            PIMBackend().time_op(req(n=8192 * 200, units=200))
+            again = PIMBackend().time_op(req())
+        assert measure.call_count == 1
+        assert again == first
 
     def test_detail_fields(self):
         detail = PIMBackend().time_op(req()).detail

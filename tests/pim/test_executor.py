@@ -75,6 +75,21 @@ class TestDeviceSum:
         total, _ = device.sum_many([ct])
         assert total == ct
 
+    def test_priced_from_a_clean_sample(self, tiny_ctx, device):
+        """The functional run leaves the accumulator dirty; the price
+        must still come from a sample that starts at zero."""
+        from unittest import mock
+
+        from repro.pim.kernels import ReduceSumKernel, base
+        from tests.pim import kernel_cost_oracle as oracle
+
+        cts = [tiny_ctx.encrypt_slots([i, -i]) for i in range(1, 7)]
+        with mock.patch.object(base, "_SAMPLE_TALLIES", {}):
+            _, run = device.sum_many(cts)
+        params = tiny_ctx.params
+        fresh = ReduceSumKernel(params.limbs_per_coefficient, params.coeff_modulus)
+        assert run.timing.cycles_per_element == oracle.cycles_per_element(fresh)
+
     def test_empty_rejected(self, device):
         with pytest.raises(CiphertextError):
             device.sum_many([])
