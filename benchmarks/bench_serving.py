@@ -5,12 +5,43 @@ arrivals batched into shared PIM kernel launches — and appends one
 ``metrics.jsonl`` record (run id, git SHA, QPS and tail-latency
 gauges) so serving capacity trends ride the same longitudinal tooling
 as the figure regenerations.
+
+Two per-layer rows time the serving loop's own costs, each checked
+against committed or exact expectations:
+
+* :func:`~repro.serve.resilience.simulate_resilient` at the RESILIENCE
+  gate's knee (96,000 QPS, 4 shards, the one-dead-shard
+  :func:`~repro.serve.resilience.degraded_plan` of seed 1), whose
+  scalars must equal the point ``baselines/resilience.json`` recorded;
+* :meth:`~repro.obs.metrics.Histogram.observe` on the SLO digest's 181
+  bounds, every bound plus ±inf and NaN, with exact bucket counts.
+
+With benchmarking enabled each appends one ``metrics.jsonl`` record of
+its median, IQR and round count; with ``--benchmark-disable`` each
+runs once as a correctness smoke test and records nothing.
 """
 
 import json
+import math
+import pathlib
 
 from repro import obs
-from repro.serve import RequestClass, ServeSpec, simulate
+from repro.obs.slo import LatencyDigest
+from repro.pim.config import UPMEMConfig
+from repro.serve import (
+    BreakerSpec,
+    RequestClass,
+    ResilienceSpec,
+    ServeSpec,
+    degraded_plan,
+    simulate,
+    simulate_resilient,
+)
+from repro.serve.resilience import _point_scalars
+
+RESILIENCE_BASELINE = (
+    pathlib.Path(__file__).resolve().parents[1] / "baselines" / "resilience.json"
+)
 
 _SPEC = ServeSpec(
     classes=(
@@ -86,3 +117,53 @@ def test_bench_serving_degraded_fleet(benchmark):
     )
     report = result.reports[spec.classes[0].key]
     assert report["completed"] == len(result.timelines)
+
+
+def test_bench_resilient_knee(benchmark, record_row):
+    gate = json.loads(RESILIENCE_BASELINE.read_text())
+    knobs = gate["config"]
+    seed, qps, shards = 1, 96000.0, 4
+    plan, _victim = degraded_plan(seed, gate["shard_counts"], UPMEMConfig())
+    rspec = ResilienceSpec(
+        serve=ServeSpec(
+            classes=(
+                RequestClass(
+                    gate["workload"],
+                    gate["security_bits"],
+                    qps,
+                    gate["ops_per_request"],
+                ),
+            ),
+            duration_s=gate["duration_s"],
+            seed=seed,
+            max_batch=gate["max_batch"],
+            max_wait_s=gate["max_wait_s"],
+        ),
+        n_shards=shards,
+        breaker=BreakerSpec(**knobs["breaker"]),
+        retry_budget=knobs["retry_budget"],
+        hedge_after_s=knobs["hedge_after_s"],
+        shed_burn_threshold=knobs["shed_burn_threshold"],
+        plan=plan.scaled(),
+    )
+    result = benchmark(simulate_resilient, rspec)
+    key = f"seed={seed}:shards={shards}:fleet=degraded:qps={qps:g}"
+    assert _point_scalars(result) == gate["points"][key]
+    record_row("serve.resilient.knee", benchmark)
+
+
+def test_bench_histogram_observe(benchmark, record_row):
+    bounds = LatencyDigest()._hist.bounds
+    values = bounds + (math.inf, -math.inf, math.nan)
+
+    def observe_all():
+        histogram = obs.MetricsRegistry().histogram("h", buckets=bounds)
+        for value in values:
+            histogram.observe(value)
+        return histogram
+
+    histogram = benchmark(observe_all)
+    # One value on each bound; -inf joins the first, +inf and NaN the
+    # implicit overflow bucket.
+    assert histogram.bucket_counts == [2] + [1] * (len(bounds) - 1) + [2]
+    record_row("obs.hist_observe.digest_bounds", benchmark)

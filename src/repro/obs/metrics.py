@@ -16,6 +16,7 @@ checks.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 
 from repro.errors import ParameterError
 
@@ -96,8 +97,8 @@ class Histogram:
     """A distribution summary: count/sum/min/max plus bucket counts.
 
     Buckets are cumulative-style upper bounds (values land in the first
-    bucket whose bound is >= the observation; larger values land in the
-    implicit +inf bucket).
+    bucket whose bound is >= the observation; larger values, and NaN,
+    land in the implicit +inf bucket).
     """
 
     __slots__ = ("name", "help", "bounds", "bucket_counts", "count", "sum", "min", "max")
@@ -124,11 +125,12 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        if value != value:
+            # NaN is <= no bound, so it counts in +inf; bisect would put
+            # it in bucket 0.
+            self.bucket_counts[-1] += 1
+        else:
+            self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:

@@ -88,7 +88,9 @@ class LatencyDigest:
     # -- recording ----------------------------------------------------------
 
     def observe(self, seconds: float) -> None:
-        if seconds < 0:
+        # ``not >=`` also refuses NaN, which would poison min, max and
+        # every percentile.
+        if not seconds >= 0:
             raise ParameterError(f"latency must be non-negative: {seconds}")
         self._hist.observe(seconds)
 

@@ -9,19 +9,19 @@ computable, regression-gated model (ROADMAP item 2):
 * :mod:`repro.serve.arrivals` — a seeded open-loop Poisson arrival
   process on the **modelled clock** (SHA-256 unit draws, no wall-clock
   or :mod:`random` state, exactly the :mod:`repro.pim.faults`
-  discipline);
+  discipline), memoised per ``(seed, class)`` stream process-wide;
 * :mod:`repro.serve.scheduler` — per-class batch formation (seal on
-  ``max_batch`` or a ``max_wait`` timer) feeding a serial device
-  timeline priced by the *exact* experiment pricing path, so the
-  zero-fault point stays bit-identical to ``baselines/perf.json``;
-  every request carries a :class:`~repro.serve.scheduler.RequestTimeline`
-  decomposing modelled latency into queue → dispatch → launch →
-  kernel → transfer phases;
+  ``max_batch`` or a ``max_wait`` timer); every request carries a
+  :class:`~repro.serve.scheduler.RequestTimeline` decomposing modelled
+  latency into queue → dispatch → launch → kernel → transfer phases;
 * :mod:`repro.serve.service` — :class:`~repro.serve.service.ServeSpec`,
-  the single-point simulation, the capacity sweep over QPS × security
-  level × fleet health (resumable through the PR-6 run registry), the
-  sweep document persistence, and the Chrome-trace export (one lane
-  per request class).
+  the single-point simulation (the resilient loop on one shard of the
+  whole fleet, priced by the *exact* experiment pricing path, so the
+  zero-fault point stays bit-identical to ``baselines/perf.json``),
+  the capacity sweep over QPS × security level × fleet health
+  (resumable through the PR-6 run registry), the sweep document
+  persistence, and the Chrome-trace export (one lane per request
+  class).
 
 Fault tolerance rides on top (PR 10):
 
@@ -29,8 +29,8 @@ Fault tolerance rides on top (PR 10):
   deterministic ciphertext→shard placement and per-shard pricing
   (single shard + zero faults stays bit-identical to
   ``baselines/perf.json``);
-* :mod:`repro.serve.resilience` — health-aware routing, per-shard
-  circuit breakers, retry budgets, hedged dispatch, SLO-coupled load
+* :mod:`repro.serve.resilience` — the one serving event loop:
+  health-aware routing, per-shard circuit breakers, retry budgets, hedged dispatch, SLO-coupled load
   shedding, and the RESILIENCE gate
   (``baselines/resilience.json``, ``repro resil record|check|html``).
 
@@ -76,6 +76,7 @@ from repro.serve.shard import (
     ShardedPricer,
     ShardLayout,
     home_shard,
+    home_shards,
     make_layout,
     whole_fleet_pricer,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "ShardLayout",
     "make_layout",
     "home_shard",
+    "home_shards",
     "ShardedPricer",
     "whole_fleet_pricer",
     "BreakerSpec",

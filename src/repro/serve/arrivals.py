@@ -11,16 +11,56 @@ interval, never :mod:`random` state — so a spec + seed yields
 bit-identical arrival times across processes, machines, and Python
 versions. Interarrivals are exponential (inverse-CDF transform), i.e.
 the process is Poisson with the class's configured rate.
+
+The hash key carries no rate, so the unit-rate gap ``-log(1 - u)`` of
+draw ``index`` is the same at every offered rate. :func:`draw_stream`
+memoises those per-stream values process-wide and every caller divides
+by its own rate, which is the float arithmetic of hashing afresh.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 from repro.errors import ParameterError
 from repro.pim.faults import _unit_hash
 
-__all__ = ["OpenLoopArrivals"]
+__all__ = ["OpenLoopArrivals", "draw_stream"]
+
+#: ``(tag, str(seed), str(class_key))`` -> the stream's memoised draws.
+#: Keys are the string forms :func:`~repro.pim.faults._unit_hash` hashes,
+#: so seeds ``1``, ``1.0`` and ``True`` keep distinct streams.
+_STREAMS: dict = {}
+
+
+def _unit_gap(u: float) -> float:
+    # u is in [0, 1); 1-u is in (0, 1], so log never sees zero.
+    return -math.log(1.0 - u)
+
+
+#: Per-channel transform of the unit draw stored in the memo.
+_TRANSFORMS = {"serve.arrival": _unit_gap, "serve.place": None}
+
+
+def draw_stream(tag: str, seed, class_key, count: int) -> array:
+    """The memoised draws of one ``(tag, seed, class)`` stream.
+
+    Returns the process-wide ``array('d')`` holding at least ``count``
+    values: for ``serve.arrival`` the unit-rate exponential gaps, for
+    ``serve.place`` the raw unit draws. The array only ever grows, to
+    the longest prefix any caller has asked for; callers may index
+    ``[0, count)`` but must not modify it.
+    """
+    key = (tag, str(seed), str(class_key))
+    stream = _STREAMS.get(key)
+    if stream is None:
+        stream = _STREAMS[key] = array("d")
+    transform = _TRANSFORMS[tag]
+    for index in range(len(stream), count):
+        u = _unit_hash(tag, seed, class_key, index)
+        stream.append(u if transform is None else transform(u))
+    return stream
 
 
 class OpenLoopArrivals:
@@ -39,24 +79,23 @@ class OpenLoopArrivals:
         self.rate_qps = rate_qps
         self.seed = seed
 
-    def interarrival(self, index: int) -> float:
-        """The exponential gap before arrival ``index`` (seconds)."""
-        u = _unit_hash("serve.arrival", self.seed, self.class_key, index)
-        # u is in [0, 1); 1-u is in (0, 1], so log never sees zero.
-        return -math.log(1.0 - u) / self.rate_qps
-
     def times_until(self, duration_s: float) -> list:
         """All arrival times in ``[0, duration_s)``, strictly ordered."""
         if duration_s <= 0:
             raise ParameterError(
                 f"duration must be positive: {duration_s}"
             )
+        rate = self.rate_qps
+        gaps = draw_stream("serve.arrival", self.seed, self.class_key, 0)
         times = []
         t = 0.0
-        index = 0
         while True:
-            t += self.interarrival(index)
-            if t >= duration_s:
-                return times
-            times.append(t)
-            index += 1
+            # Walk the memoised prefix, then draw one gap at a time past it.
+            for index in range(len(times), len(gaps)):
+                t += gaps[index] / rate
+                if t >= duration_s:
+                    return times
+                times.append(t)
+            draw_stream(
+                "serve.arrival", self.seed, self.class_key, len(gaps) + 1
+            )

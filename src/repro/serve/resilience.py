@@ -26,11 +26,11 @@ every request:
   ``shed_burn_threshold``, sealed batches of the lowest-priority
   classes are shed (counted as rejections) to protect the rest.
 
-Everything is seeded and bit-reproducible. The degenerate
-configuration — one shard, zero faults, no hedging, no shedding —
-reproduces :func:`repro.serve.service.simulate` timelines exactly, and
-the single-shard pricer reproduces ``baselines/perf.json`` bit-for-bit
-(:func:`repro.serve.service.check_serving_baseline` over
+Everything is seeded and bit-reproducible. This is the only serving
+event loop: the unsharded point, :func:`repro.serve.service.simulate`,
+is its degenerate configuration — one shard, no hedging, no shedding —
+and the single-shard pricer reproduces ``baselines/perf.json``
+bit-for-bit (:func:`repro.serve.service.check_serving_baseline` over
 :func:`repro.serve.shard.whole_fleet_pricer`), so MODEL-DRIFT stays
 green.
 
@@ -71,7 +71,7 @@ from repro.obs.slo import (
 from repro.obs.trace import get_tracer
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import DEFAULT_RETRY_POLICY, FaultPlan
-from repro.serve.scheduler import BatchScheduler, RequestTimeline
+from repro.serve.scheduler import BatchLaunch, BatchScheduler, RequestTimeline
 from repro.serve.service import (
     RequestClass,
     ServeSpec,
@@ -80,7 +80,7 @@ from repro.serve.service import (
 )
 from repro.serve.shard import (
     ShardedPricer,
-    home_shard,
+    home_shards,
     make_layout,
     whole_fleet_pricer,
 )
@@ -269,46 +269,18 @@ def _plan_spec(plan: FaultPlan) -> dict:
 
 
 @dataclass
-class ShardLaunch:
+class ShardLaunch(BatchLaunch):
     """One shared launch on one shard (hedge copies included)."""
 
-    index: int
-    class_key: str
     shard: int
     home_shard: int
-    batch_size: int
-    ops: int
-    seal_s: float
-    service_start_s: float
-    complete_s: float
-    service_seconds: float
-    launch_s: float
-    kernel_s: float
-    fault_s: float
-    transfer_s: float
-    bound: str
-    dpus_used: int
     hedged: bool = False
     hedge_winner: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "class": self.class_key,
+        return super().to_dict() | {
             "shard": self.shard,
             "home_shard": self.home_shard,
-            "batch_size": self.batch_size,
-            "ops": self.ops,
-            "seal_s": self.seal_s,
-            "service_start_s": self.service_start_s,
-            "complete_s": self.complete_s,
-            "service_seconds": self.service_seconds,
-            "launch_s": self.launch_s,
-            "kernel_s": self.kernel_s,
-            "fault_s": self.fault_s,
-            "transfer_s": self.transfer_s,
-            "bound": self.bound,
-            "dpus_used": self.dpus_used,
             "hedged": self.hedged,
             "hedge_winner": self.hedge_winner,
         }
@@ -324,6 +296,9 @@ class ResilienceResult:
     launches: list
     reports: dict
     doc: dict
+    #: ``(class key, batch size)`` of every batch no shard could serve,
+    #: in service order.
+    failed: list
 
 
 def _running_burn(trackers: dict) -> float:
@@ -337,6 +312,19 @@ def _running_burn(trackers: dict) -> float:
             burn = (bad / completed) / objective.allowed_bad_fraction
             worst = max(worst, burn)
     return worst
+
+
+def _phases(breakdown) -> tuple:
+    """``(launch_s, kernel_s, fault_s, transfer_s)`` of one priced launch.
+
+    Fault seconds are the residual: retry and redispatch time the
+    breakdown's total carries beyond launch and kernel.
+    """
+    detail = breakdown.detail
+    launch_s = float(detail.get("launch_s", 0.0))
+    kernel_s = float(detail.get("kernel_s", 0.0))
+    fault_s = breakdown.seconds - launch_s - kernel_s
+    return launch_s, kernel_s, fault_s, float(detail.get("transfer_s", 0.0))
 
 
 def _failure_cost_s(policy, config: UPMEMConfig) -> float:
@@ -357,11 +345,17 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
     """Run one sharded resilient serving point in modelled time.
 
     Deterministic: the same spec yields byte-identical timelines and
-    documents (modulo run identity). With one shard, zero faults, and
-    hedging/shedding disabled, the produced timelines equal
-    :func:`repro.serve.service.simulate`'s exactly — the resilience
-    machinery adds routing, never arithmetic.
+    documents (modulo run identity). With one shard and hedging and
+    shedding disabled, this is :func:`repro.serve.service.simulate` —
+    the resilience machinery adds routing, never arithmetic.
     """
+    return _serve(rspec)
+
+
+def _serve(rspec: ResilienceSpec) -> ResilienceResult:
+    # The loop behind both public entry points: ``simulate`` calls it
+    # directly, so a span hook on ``simulate_resilient`` (perfbench's
+    # layer hooks) does not count an unsharded point twice.
     from repro.harness.chaos import plan_for_healthy_fraction
 
     spec = rspec.serve
@@ -391,8 +385,8 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
     for class_key in sorted(class_arrivals):
         arrivals = class_arrivals[class_key]
         per_shard: dict = {}
-        for index in range(len(arrivals)):
-            home = home_shard(layout, spec.seed, class_key, index)
+        homes = home_shards(layout, spec.seed, class_key, len(arrivals))
+        for index, home in enumerate(homes):
             per_shard.setdefault(home, []).append(index)
         for home in sorted(per_shard):
             owners = per_shard[home]
@@ -435,6 +429,11 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
     movement_total_bytes = 0
     timelines: list = []
     launches: list = []
+    failed: list = []
+    # A request is good when it meets every objective's threshold.
+    good_within = min(
+        (o.threshold_s for o in spec.objectives), default=float("inf")
+    )
 
     def usable(shard: int, now: float) -> bool:
         return healthy[shard] > 0 and breakers[shard].allows(now)
@@ -496,6 +495,7 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
         if target is None or breakdown is None:
             failed_batches += 1
             failed_requests += batch_size
+            failed.append((class_key, batch_size))
             for _ in members:
                 trackers[class_key].reject()
             registry.counter(f"serve.failed.{class_key}").inc(batch_size)
@@ -505,7 +505,6 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
             registry.counter("serve.shard.routed").inc()
 
         start = max(seal, shard_free[target])
-        detail = breakdown.detail
         copies = [(target, start, breakdown)]
 
         if (
@@ -562,64 +561,60 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
                 item[0] - item[2] for item in finished if item is not winner
             )
 
-        detail = win_bd.detail
-        launch_s = float(detail.get("launch_s", 0.0))
-        kernel_s = float(detail.get("kernel_s", 0.0))
-        transfer_s = float(detail.get("transfer_s", 0.0))
-        fault_s = win_bd.seconds - launch_s - kernel_s
         for copy_complete, shard, copy_start, bd in finished:
+            copy_launch, copy_kernel, copy_fault, copy_transfer = _phases(bd)
             launches.append(
                 ShardLaunch(
                     index=len(launches),
                     class_key=class_key,
-                    shard=shard,
-                    home_shard=home,
                     batch_size=batch_size,
                     ops=int(bd.detail.get("ops", batch_size)),
                     seal_s=seal,
                     service_start_s=copy_start,
                     complete_s=copy_complete,
                     service_seconds=bd.seconds,
-                    launch_s=float(bd.detail.get("launch_s", 0.0)),
-                    kernel_s=float(bd.detail.get("kernel_s", 0.0)),
-                    fault_s=bd.seconds
-                    - float(bd.detail.get("launch_s", 0.0))
-                    - float(bd.detail.get("kernel_s", 0.0)),
-                    transfer_s=float(bd.detail.get("transfer_s", 0.0)),
+                    launch_s=copy_launch,
+                    kernel_s=copy_kernel,
+                    fault_s=copy_fault,
+                    transfer_s=copy_transfer,
                     bound=str(bd.detail.get("bound", "?")),
                     dpus_used=int(bd.detail.get("dpus_used", 0)),
+                    shard=shard,
+                    home_shard=home,
                     hedged=len(finished) > 1,
-                    hedge_winner=len(finished) > 1
-                    and shard == win_shard,
+                    hedge_winner=len(finished) > 1 and shard == win_shard,
                 )
             )
+        launch_s, kernel_s, fault_s, transfer_s = _phases(win_bd)
 
         arrivals = class_arrivals[class_key]
+        observe = trackers[class_key].observe
+        latency_hist = registry.histogram("serve.latency_s")
+        good = 0
         for member in members:
-            timeline = RequestTimeline(
-                request_id=f"{class_key}/{member}",
-                class_key=class_key,
-                arrival_s=arrivals[member],
-                batch_formed_s=seal,
-                service_start_s=win_start,
-                launch_s=launch_s,
-                kernel_s=kernel_s,
-                fault_s=fault_s,
-                transfer_s=transfer_s,
-                complete_s=complete,
-                batch_index=batch_index,
-                batch_size=batch_size,
+            arrival = arrivals[member]
+            timelines.append(
+                RequestTimeline(  # positional, in field order: per request
+                    f"{class_key}/{member}",
+                    class_key,
+                    arrival,
+                    seal,
+                    win_start,
+                    launch_s,
+                    kernel_s,
+                    fault_s,
+                    transfer_s,
+                    complete,
+                    batch_index,
+                    batch_size,
+                )
             )
-            timelines.append(timeline)
-            trackers[class_key].observe(timeline.latency_s)
-            registry.histogram("serve.latency_s").observe(
-                timeline.latency_s
-            )
-            if all(
-                timeline.latency_s <= o.threshold_s
-                for o in spec.objectives
-            ):
-                good_by_class[class_key] += 1
+            latency = complete - arrival
+            observe(latency)
+            latency_hist.observe(latency)
+            if latency <= good_within:
+                good += 1
+        good_by_class[class_key] += good
 
     for shard in range(n_shards):
         if breakers[shard].opened_count:
@@ -720,6 +715,7 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
         launches=launches,
         reports=reports,
         doc=doc,
+        failed=failed,
     )
 
 

@@ -1,6 +1,6 @@
-"""Batch formation and the serial device timeline, in modelled time.
+"""Batch formation and the per-request record, in modelled time.
 
-The scheduler is deliberately minimal and fully deterministic:
+Scheduling is deliberately minimal and fully deterministic:
 
 * **Batch formation** is per request class (one class = one workload
   kind at one security level — requests with different kernels or
@@ -10,11 +10,12 @@ The scheduler is deliberately minimal and fully deterministic:
   request) expires, whichever is earlier. Formation depends only on
   the arrival stream, so it is independent of device load — the
   timer runs while the device serves earlier batches.
-* **Service** is a single serial device timeline: sealed batches
+* **Service** is one serial timeline per shard
+  (:func:`repro.serve.resilience.simulate_resilient`): sealed batches
   across all classes are served in ``(seal time, class, index)``
   order; each launch occupies the device for its priced modelled
-  duration (kernel + launch overhead + any fault/retry seconds)
-  plus the host<->DPU transfer for the batch.
+  duration (kernel + launch overhead + any fault/retry seconds) plus
+  the host<->DPU transfer for the batch.
 
 Every request carries a :class:`RequestTimeline` decomposing its
 modelled latency into the phases the dashboard reports::
@@ -39,9 +40,11 @@ from repro.errors import ParameterError
 __all__ = ["RequestTimeline", "BatchLaunch", "BatchScheduler"]
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestTimeline:
     """One request's modelled lifecycle (all times in modelled seconds).
+
+    Slotted: a serving point holds one per request.
 
     Phase durations (``launch_s``/``kernel_s``/``fault_s``/
     ``transfer_s``) are the whole batch's — a request's latency
@@ -136,7 +139,7 @@ class BatchLaunch:
 
 
 class BatchScheduler:
-    """Deterministic batch formation + serial service scheduling."""
+    """Deterministic batch formation for one class's arrival stream."""
 
     def __init__(self, max_batch: int = 64, max_wait_s: float = 2e-3):
         if max_batch < 1:
@@ -172,77 +175,3 @@ class BatchScheduler:
         if current:
             batches.append((deadline, current))
         return batches
-
-    def schedule(self, class_arrivals: dict, pricer) -> tuple:
-        """Serve every class's batches on one serial device timeline.
-
-        ``class_arrivals`` maps class key -> list of arrival times;
-        ``pricer(class_key, batch_size)`` returns the
-        :class:`~repro.backends.base.TimingBreakdown` for one shared
-        launch of that many requests. Returns ``(timelines,
-        launches)``, both in deterministic order (service order; within
-        a batch, arrival order).
-        """
-        sealed = []
-        for class_key in sorted(class_arrivals):
-            arrivals = class_arrivals[class_key]
-            for batch_index, (seal, members) in enumerate(
-                self.form_batches(arrivals)
-            ):
-                sealed.append((seal, class_key, batch_index, members))
-        # Device order: earliest-sealed first; class key then per-class
-        # index break ties deterministically.
-        sealed.sort(key=lambda item: (item[0], item[1], item[2]))
-
-        timelines = []
-        launches = []
-        device_free = 0.0
-        for launch_index, (seal, class_key, batch_index, members) in enumerate(
-            sealed
-        ):
-            breakdown = pricer(class_key, len(members))
-            detail = breakdown.detail
-            launch_s = float(detail.get("launch_s", 0.0))
-            kernel_s = float(detail.get("kernel_s", 0.0))
-            transfer_s = float(detail.get("transfer_s", 0.0))
-            fault_s = breakdown.seconds - launch_s - kernel_s
-            start = max(seal, device_free)
-            complete = start + breakdown.seconds + transfer_s
-            device_free = complete
-            launches.append(
-                BatchLaunch(
-                    index=launch_index,
-                    class_key=class_key,
-                    batch_size=len(members),
-                    ops=int(detail.get("ops", len(members))),
-                    seal_s=seal,
-                    service_start_s=start,
-                    complete_s=complete,
-                    service_seconds=breakdown.seconds,
-                    launch_s=launch_s,
-                    kernel_s=kernel_s,
-                    fault_s=fault_s,
-                    transfer_s=transfer_s,
-                    bound=str(detail.get("bound", "?")),
-                    dpus_used=int(detail.get("dpus_used", 0)),
-                )
-            )
-            arrivals = class_arrivals[class_key]
-            for member in members:
-                timelines.append(
-                    RequestTimeline(
-                        request_id=f"{class_key}/{member}",
-                        class_key=class_key,
-                        arrival_s=arrivals[member],
-                        batch_formed_s=seal,
-                        service_start_s=start,
-                        launch_s=launch_s,
-                        kernel_s=kernel_s,
-                        fault_s=fault_s,
-                        transfer_s=transfer_s,
-                        complete_s=complete,
-                        batch_index=batch_index,
-                        batch_size=len(members),
-                    )
-                )
-        return timelines, launches

@@ -6,7 +6,9 @@ request class, batch formation, a serial PIM device timeline priced by
 the exact experiment pricing path, admission control through
 :class:`~repro.core.planner.HeadroomGuard`, degraded fleets through the
 PR-5 fault layer, and per-class SLO accounting
-(:class:`~repro.obs.slo.SLOTracker`).
+(:class:`~repro.obs.slo.SLOTracker`). It runs the one serving event
+loop, :func:`repro.serve.resilience.simulate_resilient`, on a single
+shard of the whole fleet.
 
 A **capacity sweep** (:func:`sweep_capacity`) asks the ROADMAP item-2
 question directly: for each security level and fleet-health fraction,
@@ -21,7 +23,7 @@ accumulate a longitudinal record.
 Two invariants mirror the chaos harness:
 
 * the **zero-fault serving point prices through the untouched path**:
-  :func:`check_serving_baseline` sums the serving pricer over each
+  :func:`check_serving_baseline` sums the single-shard pricer over each
   experiment's canonical batch ladder and must reproduce
   ``baselines/perf.json`` series totals bit-for-bit (MODEL-DRIFT
   otherwise);
@@ -34,10 +36,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
-from repro.backends import get_backend
-from repro.backends.base import TimingBreakdown
 from repro.core.params import BFVParameters
 from repro.core.planner import CircuitShape, HeadroomGuard, plan_budget
 from repro.errors import ParameterError
@@ -49,14 +49,12 @@ from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
     VERDICT_SLO_BREACH,
     VERDICT_SLO_OK,
-    SLOObjective,
-    SLOTracker,
 )
 from repro.obs.trace import get_tracer
 from repro.pim.config import UPMEMConfig
-from repro.pim.faults import use_fault_plan
 from repro.serve.arrivals import OpenLoopArrivals
-from repro.serve.scheduler import BatchScheduler
+from repro.serve.scheduler import BatchLaunch
+from repro.serve.shard import ShardedPricer, whole_fleet_pricer
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -67,7 +65,6 @@ __all__ = [
     "ServeResult",
     "simulate",
     "sweep_capacity",
-    "serving_pricer",
     "check_serving_baseline",
     "SWEEP_DOC",
     "render_point_text",
@@ -130,8 +127,8 @@ class RequestClass:
     ops_per_request: int = 64
     #: Scheduling priority (higher = more important). The resilience
     #: layer's load shedder drops the *lowest* priority classes first
-    #: when the SLO burn rate crosses its threshold; the plain
-    #: scheduler ignores it.
+    #: when the SLO burn rate crosses its threshold; the unsharded
+    #: point never sheds, so it ignores it.
     priority: int = 0
 
     def __post_init__(self):
@@ -233,72 +230,13 @@ class ServeResult:
     doc: dict
 
 
-def _make_pricer(spec: ServeSpec):
-    """The per-launch pricing closure: (class key, batch) -> breakdown.
-
-    Prices through the exact experiment path — the workload factory and
-    ``Backend.time_op`` — and memoizes per (class, batch size): pricing
-    is a pure function of the spec (fault plans for fixed disabled-DPU
-    counts are stateless across launches).
-    """
-    from repro.obs.registry import GRID_WORKLOADS
-
-    backend = get_backend(SERVE_BACKEND)
-    by_key = {c.key: c for c in spec.classes}
-    cache: dict = {}
-
-    def pricer(class_key: str, batch_size: int) -> TimingBreakdown:
-        cached = cache.get((class_key, batch_size))
-        if cached is not None:
-            return cached
-        cls = by_key[class_key]
-        ops = batch_size * cls.ops_per_request
-        workload = GRID_WORKLOADS[cls.workload].factory(
-            cls.security_bits, ops
-        )
-        seconds = 0.0
-        launch_s = kernel_s = transfer_s = energy_j = 0.0
-        dpus_used = movement_bytes = 0
-        bound = "?"
-        for request in workload.device_requests():
-            breakdown = backend.time_op(request)
-            seconds += breakdown.seconds
-            detail = breakdown.detail
-            launch_s += float(detail.get("launch_s", 0.0))
-            kernel_s += float(detail.get("kernel_s", 0.0))
-            transfer_s += float(detail.get("transfer_s", 0.0))
-            energy_j += float(detail.get("energy_j", 0.0))
-            movement_bytes += int(detail.get("movement_bytes", 0))
-            dpus_used = max(dpus_used, int(detail.get("dpus_used", 0)))
-            bound = str(detail.get("bound", bound))
-        merged = TimingBreakdown(
-            backend=SERVE_BACKEND,
-            op=cls.workload,
-            seconds=seconds,
-            detail={
-                "launch_s": launch_s,
-                "kernel_s": kernel_s,
-                "transfer_s": transfer_s,
-                "dpus_used": dpus_used,
-                "bound": bound,
-                "ops": ops,
-                "energy_j": energy_j,
-                "movement_bytes": movement_bytes,
-            },
-        )
-        cache[(class_key, batch_size)] = merged
-        return merged
-
-    return pricer
-
-
 def _admitted_arrivals(spec: ServeSpec, trackers: dict, registry) -> dict:
     """Noise-headroom admission over every class's arrival stream.
 
     Returns class key -> admitted arrival times; rejected arrivals are
-    charged to the class's tracker and counters. Shared by the plain
-    point simulation and the sharded resilience simulation so admission
-    semantics can never diverge between the two.
+    charged to the class's tracker and counters. Admission depends only
+    on the class's planned noise budget, so a class admits or refuses
+    its whole stream, and each counter is charged once per class.
     """
     guard = HeadroomGuard(margin_bits=spec.margin_bits)
     class_arrivals: dict = {}
@@ -307,103 +245,91 @@ def _admitted_arrivals(spec: ServeSpec, trackers: dict, registry) -> dict:
         plan_bits = plan_budget(
             params, _class_circuit(cls.workload, cls.ops_per_request)
         ).remaining_bits
-        stamp = _PredictedStamp(pred_bits=plan_bits)
         arrivals = OpenLoopArrivals(
             cls.key, cls.rate_qps, seed=spec.seed
         ).times_until(spec.duration_s)
-        admitted = []
-        for t in arrivals:
-            guard.check(f"serve.admit.{cls.key}", stamp, params)
-            if plan_bits < spec.margin_bits:
-                trackers[cls.key].reject()
-                registry.counter(f"serve.rejected.{cls.key}").inc()
-            else:
-                admitted.append(t)
-                registry.counter(f"serve.requests.{cls.key}").inc()
+        if plan_bits < spec.margin_bits:
+            # The guard still sees, and records, every refused arrival.
+            stamp = _PredictedStamp(pred_bits=plan_bits)
+            tracker = trackers[cls.key]
+            for _ in arrivals:
+                guard.check(f"serve.admit.{cls.key}", stamp, params)
+                tracker.reject()
+            counter, admitted = f"serve.rejected.{cls.key}", []
+        else:
+            counter, admitted = f"serve.requests.{cls.key}", arrivals
+        if arrivals:
+            registry.counter(counter).inc(len(arrivals))
         class_arrivals[cls.key] = admitted
     return class_arrivals
+
+
+#: ``serve-point`` fields copied from the one-shard resilient document,
+#: in document order (its run identity included).
+_POINT_FIELDS = (
+    "n_dpus",
+    "effective_dpus",
+    "run_id",
+    "created_at",
+    "git_sha",
+    "classes",
+    "device",
+)
 
 
 def simulate(spec: ServeSpec) -> ServeResult:
     """Run one serving point end to end in modelled time.
 
-    Deterministic: the same spec yields byte-identical timelines,
-    digest state, and document (modulo the run identity stamped into
-    the document).
+    The resilient loop on one shard of the whole fleet, without hedging
+    or shedding, reported as a ``serve-point`` document with
+    :class:`~repro.serve.scheduler.BatchLaunch` records. Deterministic:
+    the same spec yields byte-identical timelines, digest state, and
+    document (modulo the run identity stamped into the document).
+    Raises :class:`~repro.errors.PermanentDeviceError` when a batch
+    reaches a fleet whose every DPU is disabled.
     """
-    config = UPMEMConfig()
-    plan = plan_for_healthy_fraction(spec.healthy, spec.seed, config)
+    from repro.harness.chaos import plan_for_healthy_fraction
+    from repro.serve.resilience import ResilienceSpec, _serve
+
+    result = _serve(ResilienceSpec(serve=spec, n_shards=1))
+    if result.failed:
+        # One shard under a fixed plan fails only when the whole fleet
+        # is disabled: pricing the first failed batch raises the
+        # runtime's own error.
+        config = UPMEMConfig()
+        plan = plan_for_healthy_fraction(spec.healthy, spec.seed, config)
+        class_key, batch_size = result.failed[0]
+        ShardedPricer(spec.classes, result.layout, plan, config).price(
+            0, class_key, batch_size
+        )
+    sharded = result.doc
+    names = [f.name for f in fields(BatchLaunch)]
+    launches = [
+        BatchLaunch(**{name: getattr(launch, name) for name in names})
+        for launch in result.launches
+    ]
     registry = get_registry()
-    trackers = {c.key: SLOTracker(spec.objectives) for c in spec.classes}
-    class_arrivals = _admitted_arrivals(spec, trackers, registry)
-
-    scheduler = BatchScheduler(
-        max_batch=spec.max_batch, max_wait_s=spec.max_wait_s
-    )
-    pricer = _make_pricer(spec)
-    with use_fault_plan(plan):
-        timelines, launches = scheduler.schedule(class_arrivals, pricer)
-
-    for timeline in timelines:
-        trackers[timeline.class_key].observe(timeline.latency_s)
-        registry.histogram("serve.latency_s").observe(timeline.latency_s)
-    energy_total_j = 0.0
-    movement_total_bytes = 0
-    for launch in launches:
-        registry.counter("serve.launches").inc()
-        registry.histogram("serve.batch_size").observe(launch.batch_size)
-        # Guaranteed cache hit: the scheduler priced every
-        # (class, batch) pair through this same memoizing pricer, so
-        # this reuses the fault-plan-priced breakdown verbatim.
-        priced = pricer(launch.class_key, launch.batch_size)
-        energy_total_j += float(priced.detail.get("energy_j", 0.0))
-        movement_total_bytes += int(priced.detail.get("movement_bytes", 0))
     if launches:
-        registry.counter("serve.energy_j").inc(energy_total_j)
-        registry.counter("serve.movement_bytes").inc(movement_total_bytes)
+        registry.counter("serve.launches").inc(len(launches))
+        batch_sizes = registry.histogram("serve.batch_size")
+        for launch in launches:
+            batch_sizes.observe(launch.batch_size)
+        registry.counter("serve.energy_j").inc(sharded["energy"]["total_j"])
+        registry.counter("serve.movement_bytes").inc(
+            sharded["energy"]["movement_bytes"]
+        )
 
-    busy_s = sum(l.complete_s - l.service_start_s for l in launches)
-    horizon = max(
-        [spec.duration_s] + [l.complete_s for l in launches]
-    )
-    reports = {
-        key: tracker.report(duration_s=spec.duration_s)
-        for key, tracker in trackers.items()
-    }
-    breached = any(
-        r["verdict"] == VERDICT_SLO_BREACH for r in reports.values()
-    )
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "serve-point",
-        "spec": spec.to_dict(),
-        "n_dpus": config.n_dpus,
-        "effective_dpus": plan.effective_dpus(config),
-    }
-    doc.update(run_identity())
-    doc["classes"] = {key: reports[key] for key in sorted(reports)}
-    doc["device"] = {
-        "launches": len(launches),
-        "busy_s": busy_s,
-        "horizon_s": horizon,
-        "utilization": busy_s / horizon if horizon > 0 else 0.0,
-    }
-    doc["launches"] = [l.to_dict() for l in launches]
-    completed = sum(r["completed"] for r in reports.values())
-    doc["energy"] = {
-        "total_j": energy_total_j,
-        "avg_watts": energy_total_j / horizon if horizon > 0 else 0.0,
-        "j_per_request": (
-            energy_total_j / completed if completed else None
-        ),
-        "movement_bytes": movement_total_bytes,
-    }
-    doc["verdict"] = VERDICT_SLO_BREACH if breached else VERDICT_SLO_OK
+    doc = {"schema": SCHEMA_VERSION, "kind": "serve-point", "spec": spec.to_dict()}
+    for key in _POINT_FIELDS:
+        doc[key] = sharded[key]
+    doc["launches"] = [launch.to_dict() for launch in launches]
+    doc["energy"] = sharded["energy"]
+    doc["verdict"] = sharded["verdict"]
     return ServeResult(
         spec=spec,
-        timelines=timelines,
+        timelines=result.timelines,
         launches=launches,
-        reports=reports,
+        reports=result.reports,
         doc=doc,
     )
 
@@ -646,15 +572,9 @@ def _recalled_point(registry, key_prefix: str, qps: float):
 # -- the zero-fault bit-identity gate ----------------------------------------
 
 
-def serving_pricer(cls: RequestClass):
-    """The fault-free serving pricer of one class: requests -> breakdown."""
-    pricer = _make_pricer(ServeSpec(classes=(cls,), healthy=1.0))
-    return lambda n_requests: pricer(cls.key, n_requests)
-
-
 def check_serving_baseline(
     baseline: dict,
-    pricer_for=serving_pricer,
+    pricer_for=whole_fleet_pricer,
     workload: str = "vec_add",
     security_levels=(27, 54, 109),
     ops_per_request: int = 64,
@@ -664,9 +584,8 @@ def check_serving_baseline(
     For every experiment whose cells are ``workload`` at one of the
     requested security levels, price the experiment's canonical batch
     ladder through ``pricer_for(cls)`` — a fault-free pricer of one
-    request class taking a request count, by default the plain serving
-    path (:func:`serving_pricer`; the resilience gate passes the
-    single-shard one, :func:`repro.serve.shard.whole_fleet_pricer`) —
+    request class taking a request count, by default the single-shard
+    serving pricer (:func:`repro.serve.shard.whole_fleet_pricer`) —
     one launch per batch size, and compare the accumulated pim
     milliseconds to the committed series total, which must match
     **bit-for-bit**, exactly like the grid's fault-free cells. Returns

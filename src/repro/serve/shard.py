@@ -9,9 +9,9 @@ complete UPMEM system in miniature:
 * :class:`ShardLayout` / :func:`make_layout` — the partition itself.
   Spans are rank-aligned (a rank never straddles shards — a disabled
   rank hurts exactly one shard) and cover the fleet exactly;
-* :func:`home_shard` — deterministic ciphertext→shard placement by
-  seeded hash, the same SHA-256 unit-draw discipline as the arrival
-  process and the fault plans;
+* :func:`home_shard` / :func:`home_shards` — deterministic
+  ciphertext→shard placement by seeded hash, drawn and memoised exactly
+  like the arrival process (:func:`repro.serve.arrivals.draw_stream`);
 * :class:`ShardedPricer` — per-shard batch pricing through an
   unmodified :class:`~repro.pim.runtime.PIMRuntime` whose config is
   the shard's slice of the fleet, under the shard's
@@ -33,14 +33,16 @@ from repro.backends.base import TimingBreakdown
 from repro.backends.pim import PIMBackend
 from repro.errors import ParameterError
 from repro.pim.config import UPMEMConfig
-from repro.pim.faults import FaultPlan, _unit_hash, use_fault_plan
+from repro.pim.faults import FaultPlan, use_fault_plan
 from repro.pim.runtime import PIMRuntime
 from repro.pim.tasklet import split_evenly
+from repro.serve.arrivals import draw_stream
 
 __all__ = [
     "ShardLayout",
     "make_layout",
     "home_shard",
+    "home_shards",
     "ShardedPricer",
     "whole_fleet_pricer",
 ]
@@ -159,8 +161,17 @@ def home_shard(
     its assignments (the health-aware scheduler reroutes them, which is
     what the routed/redispatch counters measure).
     """
-    draw = _unit_hash("serve.place", seed, class_key, request_index)
-    return int(draw * layout.n_shards)
+    draws = draw_stream("serve.place", seed, class_key, request_index + 1)
+    return int(draws[request_index] * layout.n_shards)
+
+
+def home_shards(
+    layout: ShardLayout, seed: int, class_key: str, count: int
+) -> list:
+    """:func:`home_shard` of requests ``0 .. count-1``, in one pass."""
+    n_shards = layout.n_shards
+    draws = draw_stream("serve.place", seed, class_key, count)
+    return [int(draws[i] * n_shards) for i in range(count)]
 
 
 class ShardedPricer:
@@ -173,11 +184,10 @@ class ShardedPricer:
     fault pricing (retries, backoff, redispatch, permanent failures)
     reuses the PR-5 machinery verbatim, just scoped to the shard.
 
-    Successful breakdowns are memoized per ``(shard, class, batch)``
-    exactly like the unsharded serving pricer; failed pricings are
-    never cached, so a shard with live transient channels re-draws on
-    every retry (which is what lets circuit breakers observe repeated
-    failures).
+    Successful breakdowns are memoized per ``(shard, class, batch)``;
+    failed pricings are never cached, so a shard with live transient
+    channels re-draws on every retry (which is what lets circuit
+    breakers observe repeated failures).
     """
 
     def __init__(

@@ -65,6 +65,22 @@ class TestHistogram:
         snapshot = histogram.snapshot()
         assert snapshot["buckets"] == {"le_1": 1, "le_10": 1, "le_inf": 1}
 
+    def test_value_on_a_bound_lands_in_that_bound(self):
+        histogram = MetricsRegistry().histogram("h", buckets=(1.0, 10.0))
+        for value in (1.0, 10, float("-inf"), float("inf")):
+            histogram.observe(value)
+        snapshot = histogram.snapshot()
+        assert snapshot["buckets"] == {"le_1": 2, "le_10": 1, "le_inf": 1}
+
+    def test_nan_lands_in_the_inf_bucket(self):
+        # NaN compares false against every bound, so it is <= none of
+        # them and counts where values above the last bound do.
+        histogram = MetricsRegistry().histogram("h", buckets=(1.0, 10.0))
+        histogram.observe(float("nan"))
+        snapshot = histogram.snapshot()
+        assert snapshot["buckets"] == {"le_1": 0, "le_10": 0, "le_inf": 1}
+        assert histogram.count == 1
+
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ParameterError):
             MetricsRegistry().histogram("h", buckets=(10.0, 1.0))

@@ -41,6 +41,15 @@ class TestLatencyDigest:
         with pytest.raises(ParameterError):
             LatencyDigest().observe(-1e-6)
 
+    def test_nan_latency_rejected_and_digest_untouched(self):
+        digest = LatencyDigest()
+        digest.observe(2e-3)
+        with pytest.raises(ParameterError):
+            digest.observe(float("nan"))
+        assert digest.count == 1
+        assert digest.min == digest.max == 2e-3
+        assert digest.percentile(99) == 2e-3
+
     def test_bad_resolution_rejected(self):
         with pytest.raises(ParameterError):
             LatencyDigest(lo_exp=3, hi_exp=-6)

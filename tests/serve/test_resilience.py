@@ -138,7 +138,7 @@ class TestZeroFaultSingleShardIdentity:
         res = simulate_resilient(ResilienceSpec(serve=spec, n_shards=1))
         assert len(res.timelines) == len(base.timelines)
         for a, b in zip(base.timelines, res.timelines):
-            assert a.__dict__ == b.__dict__
+            assert a == b
         assert res.reports.keys() == {c.key for c in spec.classes}
         base_report = base.doc["classes"]
         for key, report in res.reports.items():

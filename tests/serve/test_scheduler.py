@@ -2,28 +2,27 @@
 
 import pytest
 
-from repro.backends.base import TimingBreakdown
 from repro.errors import ParameterError
-from repro.serve import BatchScheduler
+from repro.pim.faults import FaultPlan
+from repro.serve import (
+    BatchScheduler,
+    RequestClass,
+    ResilienceSpec,
+    ServeSpec,
+    simulate,
+    simulate_resilient,
+)
 
 
-def _pricer(seconds=1e-3, launch=2e-4, kernel=8e-4, transfer=1e-4):
-    def pricer(class_key, batch_size):
-        return TimingBreakdown(
-            backend="pim",
-            op="vec_add",
-            seconds=seconds,
-            detail={
-                "launch_s": launch,
-                "kernel_s": kernel,
-                "transfer_s": transfer,
-                "dpus_used": 8,
-                "bound": "compute",
-                "ops": batch_size,
-            },
-        )
-
-    return pricer
+def _spec(*classes, max_batch=1, max_wait_s=0.0, duration_s=2e-3):
+    classes = classes or (RequestClass(security_bits=54, rate_qps=20000.0),)
+    return ServeSpec(
+        classes=classes,
+        duration_s=duration_s,
+        seed=3,
+        max_batch=max_batch,
+        max_wait_s=max_wait_s,
+    )
 
 
 class TestBatchFormation:
@@ -57,20 +56,22 @@ class TestBatchFormation:
 
 
 class TestSchedule:
+    """The device-timeline invariants of the one serving loop, through
+    the unsharded point :func:`simulate`."""
+
     def test_device_is_serial_and_work_conserving(self):
-        scheduler = BatchScheduler(max_batch=1, max_wait_s=0.0)
-        arrivals = {"k": [0.0, 1e-4, 2e-4]}
-        _timelines, launches = scheduler.schedule(arrivals, _pricer())
-        assert len(launches) == 3
+        launches = simulate(_spec()).launches
+        assert len(launches) > 3
         for earlier, later in zip(launches, launches[1:]):
-            assert later.service_start_s >= earlier.complete_s
+            assert later.service_start_s == max(
+                later.seal_s, earlier.complete_s
+            )
         # First launch starts the moment its batch seals.
-        assert launches[0].service_start_s == 0.0
+        assert launches[0].service_start_s == launches[0].seal_s
 
     def test_timeline_phase_decomposition_is_complete(self):
-        scheduler = BatchScheduler(max_batch=2, max_wait_s=1e-3)
-        arrivals = {"k": [0.0, 2e-3, 4e-3]}
-        timelines, _launches = scheduler.schedule(arrivals, _pricer())
+        timelines = simulate(_spec(max_batch=4, max_wait_s=1e-4)).timelines
+        assert timelines
         for timeline in timelines:
             assert timeline.queue_s >= 0.0
             assert timeline.dispatch_s >= 0.0
@@ -85,38 +86,57 @@ class TestSchedule:
             assert phases == pytest.approx(timeline.latency_s)
 
     def test_fault_seconds_are_the_pricing_residual(self):
-        # A breakdown whose total exceeds launch+kernel carries retry
-        # or redispatch cost; the scheduler must attribute it.
-        pricer = _pricer(seconds=2e-3, launch=2e-4, kernel=8e-4)
-        _timelines, launches = BatchScheduler().schedule(
-            {"k": [0.0]}, pricer
+        # Transient launch faults price retry time into the breakdown's
+        # total beyond launch+kernel; the loop must attribute it.
+        rspec = ResilienceSpec(
+            serve=_spec(max_batch=64, max_wait_s=2e-3, duration_s=1e-2),
+            n_shards=1,
+            plan=FaultPlan(seed=3, transient_rate=0.3),
         )
-        assert launches[0].fault_s == pytest.approx(1e-3)
+        launches = simulate_resilient(rspec).launches
+        assert any(launch.fault_s > 0 for launch in launches)
+        for launch in launches:
+            assert launch.fault_s == (
+                launch.service_seconds - launch.launch_s - launch.kernel_s
+            )
 
     def test_latency_includes_transfer(self):
-        _timelines, launches = BatchScheduler().schedule(
-            {"k": [0.0]}, _pricer(transfer=5e-4)
-        )
-        launch = launches[0]
-        assert launch.complete_s == pytest.approx(
-            launch.service_start_s + launch.service_seconds + 5e-4
-        )
+        result = simulate(_spec())
+        for launch in result.launches:
+            assert launch.complete_s == (
+                launch.service_start_s
+                + launch.service_seconds
+                + launch.transfer_s
+            )
+        for timeline in result.timelines:
+            assert timeline.complete_s - timeline.transfer_s >= (
+                timeline.service_start_s
+            )
 
     def test_classes_interleave_on_one_device(self):
-        scheduler = BatchScheduler(max_batch=1, max_wait_s=0.0)
-        arrivals = {"b": [0.0], "a": [1e-4]}
-        _timelines, launches = scheduler.schedule(arrivals, _pricer())
-        assert [l.class_key for l in launches] == ["b", "a"]
-        assert launches[1].service_start_s >= launches[0].complete_s
+        result = simulate(
+            _spec(
+                RequestClass("vec_add", 109, 20000.0, 4),
+                RequestClass("vec_mul", 109, 20000.0, 4),
+            )
+        )
+        keys = [launch.class_key for launch in result.launches]
+        assert set(keys) == {"vec_add@109", "vec_mul@109"}
+        assert keys != sorted(keys)  # the classes take turns
+        for earlier, later in zip(result.launches, result.launches[1:]):
+            assert later.service_start_s >= earlier.complete_s
 
     def test_deterministic_output_order(self):
-        scheduler = BatchScheduler(max_batch=4, max_wait_s=1e-3)
-        arrivals = {"a": [0.0, 1e-4], "b": [0.0, 2e-4]}
-        first = scheduler.schedule(arrivals, _pricer())
-        second = scheduler.schedule(arrivals, _pricer())
-        assert [t.to_dict() for t in first[0]] == [
-            t.to_dict() for t in second[0]
+        spec = _spec(
+            RequestClass("vec_add", 109, 20000.0, 4),
+            RequestClass("vec_mul", 109, 20000.0, 4),
+            max_batch=4,
+            max_wait_s=1e-4,
+        )
+        first, second = simulate(spec), simulate(spec)
+        assert [t.to_dict() for t in first.timelines] == [
+            t.to_dict() for t in second.timelines
         ]
-        assert [l.to_dict() for l in first[1]] == [
-            l.to_dict() for l in second[1]
+        assert [l.to_dict() for l in first.launches] == [
+            l.to_dict() for l in second.launches
         ]

@@ -11,7 +11,6 @@ from repro.pim.faults import FaultPlan
 from repro.serve.service import (
     RequestClass,
     ServeSpec,
-    _make_pricer,
     check_serving_baseline,
 )
 from repro.serve.shard import (
@@ -21,6 +20,7 @@ from repro.serve.shard import (
     make_layout,
     whole_fleet_pricer,
 )
+from tests.serve.serve_oracle import _make_pricer, serving_pricer
 
 CONFIG = UPMEMConfig()
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -104,7 +104,8 @@ class TestHomeShard:
 class TestShardedPricerBitIdentity:
     def test_single_shard_matches_the_serving_pricer_bitwise(self):
         """One shard of the whole fleet IS the whole fleet: the sharded
-        pricer must reproduce the unsharded serving pricer exactly."""
+        pricer must reproduce the retired unsharded serving pricer
+        (frozen in the oracle) exactly."""
         spec = ServeSpec(
             classes=(RequestClass(security_bits=54, rate_qps=1.0),),
         )
@@ -141,9 +142,10 @@ class TestSharedBaselineCheck:
         verdicts = check_serving_baseline(baseline, whole_fleet_pricer)
         assert verdicts, "expected vec_add experiments in the baseline"
         assert all(v["verdict"] == "ok" for v in verdicts)
-        # The single-shard ladder is the plain serving ladder, verdict
-        # dict for verdict dict.
+        # The single-shard ladder is the default one, and equals the
+        # retired plain serving ladder verdict dict for verdict dict.
         assert verdicts == check_serving_baseline(baseline)
+        assert verdicts == check_serving_baseline(baseline, serving_pricer)
 
     def test_doctored_baseline_is_model_drift(self, baseline):
         doctored = json.loads(json.dumps(baseline))
