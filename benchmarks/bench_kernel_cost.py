@@ -7,18 +7,27 @@ cycles per element from its limb arithmetic.
   seeded cost sample the memo wraps — on each of the nine kernel shapes
   the experiments price, so each shape's cold cost stays visible;
 * one warm :meth:`~repro.pim.kernels.base.Kernel.cycles_per_element`
-  read of ``VecMulKernel(4)``, the shape the experiments price most.
+  read of ``VecMulKernel(4)``, the shape the experiments price most;
+* :func:`~repro.mpint.mul.mul32`, the software shift-and-add multiply
+  under every multiplying kernel, on 1,000 fixed seeded operand pairs
+  charged to one tally.
 
-Each cold row checks its tally against the memoised one. With
+Each cold row checks its tally against the memoised one; the ``mul32``
+row checks its tally against the frozen per-bit loop in
+``tests/mpint/mul32_oracle.py``. With
 benchmarking enabled, each row appends one ``metrics.jsonl`` record
 whose gauges hold the median, IQR and round count in seconds. With
 ``--benchmark-disable`` every row runs once as a correctness smoke
 test and records nothing.
 """
 
+import random
+
 import pytest
 
 from repro.backends.pim import modulus_for_width
+from repro.mpint.cost import OpTally
+from repro.mpint.mul import mul32
 from repro.pim.kernels import (
     ReduceSumKernel,
     TensorMulKernel,
@@ -32,6 +41,7 @@ from repro.pim.kernels.base import (
 )
 from repro.pim.kernels.nttkernel import NTTButterflyKernel
 from repro.poly.modring import find_ntt_prime
+from tests.mpint import mul32_oracle
 
 #: row name -> kernel: the nine shapes the experiments price.
 SHAPES = {
@@ -60,3 +70,19 @@ def test_bench_warm_cycles_per_element(benchmark, record_row):
     expected = kernel.cycles_per_element()  # warm the memo
     assert benchmark(kernel.cycles_per_element) == expected
     record_row("kernels.cycles_per_element.warm", benchmark)
+
+
+def _mul32_all(pairs, multiply=mul32) -> OpTally:
+    tally = OpTally()
+    for a, b in pairs:
+        multiply(a, b, tally)
+    return tally
+
+
+def test_bench_mul32(benchmark, record_row):
+    rng = random.Random(32)
+    pairs = [(rng.getrandbits(32), rng.getrandbits(32)) for _ in range(1000)]
+    tally = benchmark(_mul32_all, pairs)
+    expected = _mul32_all(pairs, mul32_oracle.mul32)
+    assert list(tally.counts.items()) == list(expected.counts.items())
+    record_row("mpint.mul32", benchmark)

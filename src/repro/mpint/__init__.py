@@ -16,9 +16,11 @@ Every routine here does double duty:
   :class:`~repro.mpint.cost.OpTally`, from which the PIM device model
   (:mod:`repro.pim.isa`) derives cycle counts.
 
-Counts are therefore **derived from execution**, never asserted; the
-closed-form expectation helpers (used by the analytic fast path for
-large workloads) are tested against tallies of real executions.
+Counts are therefore **derived from the operand data**, never
+asserted: the software multiply's tally comes from its multiplier's set
+bits (:func:`~repro.mpint.cost.mul32_ops`), and the carry chains charge
+each carry as it ripples. The closed-form expectation helpers are
+tested against tallies of real executions.
 """
 
 from repro.mpint.cost import OpTally, expected_ops_add, expected_ops_mul

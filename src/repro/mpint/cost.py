@@ -6,11 +6,14 @@ deliberately ISA-agnostic: mapping an operation name to a cycle cost is
 the device model's job (:mod:`repro.pim.isa` for UPMEM), which keeps the
 arithmetic layer reusable for the CPU and GPU cost models too.
 
-The ``expected_ops_*`` helpers give closed-form *expected* counts for
-the same routines, used by the analytic fast path when benchmarking
-workloads too large to execute limb-by-limb. Tests in
-``tests/mpint/test_cost_agreement.py`` check the closed forms against
-tallies of real executions.
+:func:`mul32_ops` is the exact closed form of the software 32x32
+shift-and-add multiply: its counts depend on the multiplier only
+through its set bits, so :func:`repro.mpint.mul.mul32` charges them
+from the operand's popcount. The ``expected_ops_*`` helpers give the
+*expected* counts of the limb routines over uniformly random operands
+(``expected_ops_mul32`` is :func:`mul32_ops` at half the bits set).
+``tests/mpint/test_cost.py`` checks them against tallies of real
+executions.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import ParameterError
+from repro.mpint.limbs import LIMB_BITS
 
 #: Operation names the limb routines may charge. Loads/stores/branches
 #: are charged by the kernel layer (which knows the memory layout), not
@@ -114,28 +118,49 @@ def expected_ops_add(n_limbs: int) -> dict:
     return counts
 
 
+def mul32_ops(ones: int, low_bit_set: bool = False) -> dict:
+    """Operation counts of one software 32x32 shift-and-add multiply.
+
+    The compiled routine is an out-of-line call (two ``branch`` for
+    call/return, twelve ``move`` of prologue/epilogue traffic) around a
+    32-iteration loop. Every iteration masks and tests one multiplier
+    bit (``and`` + ``branch``), shifts the multiplier (``lsr``), shifts
+    the two-limb multiplicand (two ``lsl`` plus ``lsr`` + ``or`` to
+    carry the low limb's top bit across) and keeps its counter
+    (``move`` + ``cmp`` + ``branch``; the 24 KB IRAM does not admit an
+    unrolled 32-iteration body). The only data-dependent branch
+    is the multiplier bit: each of the multiplier's ``ones`` set bits
+    adds a two-limb accumulate (``add`` + ``addc`` and a pair of
+    ``move``).
+
+    Keys come in the order the loop first charges them, so charging
+    them in turn grows a tally's ``Counter`` exactly as the loop does:
+    ``add``/``addc`` follow ``and`` when the multiplier's bit 0 is set
+    (``low_bit_set``), follow ``cmp`` otherwise, and are absent when no
+    bit is set.
+    """
+    accumulate = {"add": ones, "addc": ones} if ones else {}
+    counts = {"branch": 2 + 2 * LIMB_BITS, "move": 12 + LIMB_BITS + 2 * ones}
+    counts["and"] = LIMB_BITS
+    if low_bit_set:
+        counts.update(accumulate)
+    counts["lsr"] = 2 * LIMB_BITS
+    counts["lsl"] = 2 * LIMB_BITS
+    counts["or"] = LIMB_BITS
+    counts["cmp"] = LIMB_BITS
+    if not low_bit_set:
+        counts.update(accumulate)
+    return counts
+
+
 def expected_ops_mul32() -> dict:
     """Expected operation counts of the software 32x32 shift-and-add.
 
-    The routine iterates over the 32 bits of the multiplier: each
-    iteration shifts and tests one bit (``lsr`` + ``branch``), shifts
-    the accumulating partial product (``lsl`` + ``lsr`` feeding the high
-    word), and — for set bits — performs a two-limb add. With uniformly
-    random operands half the bits are set, giving the expected counts
-    returned here. Functional executions charge the *actual*
-    data-dependent counts; see ``tests/mpint/test_cost_agreement.py``.
+    With uniformly random operands half the multiplier bits are set, so
+    this is :func:`mul32_ops` at 16 set bits. Functional executions
+    charge the *actual* data-dependent counts.
     """
-    return {
-        "and": 32,  # bit-mask tests
-        "lsr": 64,  # 32 multiplier shifts + 32 carry-bit feeds
-        "lsl": 64,  # two-limb multiplicand shifts
-        "or": 32,  # carry-bit merges into the high limb
-        "branch": 66,  # bit tests + loop back-edges + call/return
-        "add": 16,  # expected set bits: low-limb accumulates
-        "addc": 16,  # matching carry adds into the high limb
-        "move": 76,  # call frame + counter updates + accumulate shuffles
-        "cmp": 32,  # loop-bound comparisons
-    }
+    return mul32_ops(LIMB_BITS // 2)
 
 
 def expected_ops_mul(n_limbs: int, algorithm: str = "auto") -> dict:

@@ -21,23 +21,13 @@ from __future__ import annotations
 
 from repro.errors import ParameterError
 from repro.mpint.add import add_with_carry, sub_with_borrow
-from repro.mpint.cost import OpTally
+from repro.mpint.cost import OpTally, mul32_ops
 from repro.mpint.limbs import LIMB_BITS, LIMB_MASK, Limbs
 
 #: Operand size (in limbs) at which ``multiply`` switches from
 #: schoolbook to Karatsuba. The paper applies Karatsuba from 64-bit
 #: operands (2 limbs) upward.
 KARATSUBA_THRESHOLD = 2
-
-#: Loop bookkeeping charged per shift-and-add iteration: the compiled
-#: routine maintains an iteration counter (add), compares it (cmp) and
-#: branches — on top of the data ops the loop body performs. Without
-#: this the model would assume a fully unrolled routine, which the
-#: 24 KB UPMEM IRAM does not admit for a 32-iteration body.
-_MUL32_LOOP_OPS = (("move", 1), ("cmp", 1), ("branch", 1))
-
-_MASK64 = (1 << 64) - 1
-
 
 def mul32(a: int, b: int, tally: OpTally) -> tuple:
     """Software 32x32→64 multiply; returns ``(low_limb, high_limb)``.
@@ -48,38 +38,19 @@ def mul32(a: int, b: int, tally: OpTally) -> tuple:
     the current bit is set. Operation counts are data-dependent exactly
     as on hardware: multiplying by a dense bit pattern costs more adds
     than multiplying by a sparse one.
+
+    The multiplier bit is the loop's only data-dependent branch, so the
+    tally is derived from the multiplier's set bits through
+    :func:`~repro.mpint.cost.mul32_ops` rather than by stepping the loop
+    bit by bit; the per-bit loop is kept as the test oracle
+    (``tests/mpint/mul32_oracle.py``).
     """
     if not 0 <= a <= LIMB_MASK or not 0 <= b <= LIMB_MASK:
         raise ParameterError(f"mul32 operands must be 32-bit, got {a}, {b}")
-    # The compiler emits this routine as an out-of-line call
-    # (__mulsi3-style): charge the call/return branches and the
-    # prologue/epilogue register traffic.
-    tally.charge("branch", 2)
-    tally.charge("move", 12)
-    acc = 0
-    shifted = a
-    multiplier = b
-    for _ in range(LIMB_BITS):
-        tally.charge("and")  # mask the low multiplier bit
-        tally.charge("branch")  # test it
-        if multiplier & 1:
-            # Two-limb accumulate; the operands live across registers,
-            # so the compiled body also shuffles a pair of moves.
-            tally.charge("add")
-            tally.charge("addc")
-            tally.charge("move", 2)
-            acc = (acc + shifted) & _MASK64
-        multiplier >>= 1
-        tally.charge("lsr")  # shift the multiplier
-        # Two-limb multiplicand shift: low-limb lsl, high-limb lsl,
-        # plus lsr+or to carry the low limb's top bit across.
-        tally.charge("lsl", 2)
-        tally.charge("lsr")
-        tally.charge("or")
-        shifted = (shifted << 1) & _MASK64
-        for op, count in _MUL32_LOOP_OPS:
-            tally.charge(op, count)
-    return acc & LIMB_MASK, acc >> LIMB_BITS
+    for op, count in mul32_ops(b.bit_count(), b & 1).items():
+        tally.charge(op, count)
+    product = a * b
+    return product & LIMB_MASK, product >> LIMB_BITS
 
 
 def schoolbook_multiply(a: Limbs, b: Limbs, tally: OpTally) -> Limbs:
@@ -94,11 +65,6 @@ def schoolbook_multiply(a: Limbs, b: Limbs, tally: OpTally) -> Limbs:
     la, lb = len(a), len(b)
     result = [0] * (la + lb)
     for i in range(la):
-        if a[i] == 0:
-            # The real routine still runs the inner loop; charge the
-            # multiplies (they are data-dependent and cheap for a zero
-            # operand: no bits set in the multiplicand still shifts).
-            pass
         for j in range(lb):
             low, high = mul32(a[i], b[j], tally)
             k = i + j

@@ -19,6 +19,7 @@ longitudinal dashboards trend any of them against ``git_sha``.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import uuid
 from datetime import datetime, timezone
@@ -26,8 +27,28 @@ from datetime import datetime, timezone
 __all__ = ["git_sha", "run_identity", "stamp"]
 
 
+#: Resolved directory -> its commit SHA (or ``None``), one ``git``
+#: subprocess per directory per process.
+_GIT_SHAS: dict = {}
+
+
 def git_sha(cwd=None) -> str | None:
-    """The current git commit SHA, or ``None`` outside a checkout."""
+    """The current git commit SHA, or ``None`` outside a checkout.
+
+    Memoised per process for each resolved directory (``cwd``, or the
+    working directory when it is ``None``): every serving point stamps
+    an identity, and the commit does not move under a running process.
+    """
+    try:
+        where = os.path.realpath(os.getcwd() if cwd is None else cwd)
+    except OSError:  # the working directory was removed
+        return None
+    if where not in _GIT_SHAS:
+        _GIT_SHAS[where] = _read_git_sha(where)
+    return _GIT_SHAS[where]
+
+
+def _read_git_sha(cwd) -> str | None:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -85,6 +85,12 @@ class TestExpectedMul32:
         for op in ("lsl", "lsr", "cmp", "and"):
             assert got[op] == expected[op], op
 
+    def test_equals_execution_at_sixteen_set_bits(self):
+        """The expectation is the exact count at half the bits set."""
+        tally = OpTally()
+        mul32(0x9E3779B9, 0x0F0F0F0F, tally)
+        assert tally.as_dict() == expected_ops_mul32()
+
     def test_expected_matches_mean_of_random_executions(self):
         """Data-dependent counts match in expectation within 5%."""
         rng = np.random.default_rng(42)

@@ -1,5 +1,6 @@
 """Shared run-identity stamping, and its re-export compatibility."""
 
+import subprocess
 import uuid
 
 from repro.obs import runident
@@ -32,6 +33,24 @@ class TestRunIdentity:
 
     def test_git_sha_outside_repo_is_none(self, tmp_path):
         assert runident.git_sha(cwd=tmp_path) is None
+
+    def test_git_sha_starts_one_subprocess_per_directory(
+        self, monkeypatch, tmp_path
+    ):
+        calls = []
+
+        def fake_run(args, **kwargs):
+            calls.append(kwargs["cwd"])
+            return subprocess.CompletedProcess(args, 0, stdout="f" * 40 + "\n")
+
+        monkeypatch.setattr(runident, "_GIT_SHAS", {})
+        monkeypatch.setattr(runident.subprocess, "run", fake_run)
+        for _ in range(5):
+            assert runident.run_identity()["git_sha"] == "f" * 40
+        assert len(calls) == 1
+        runident.git_sha(cwd=tmp_path)
+        runident.git_sha(cwd=tmp_path)
+        assert len(calls) == 2
 
 
 class TestReExports:
