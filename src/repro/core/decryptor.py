@@ -6,7 +6,7 @@ from repro.core.ciphertext import Ciphertext, Plaintext
 from repro.core.keys import SecretKey
 from repro.core.params import BFVParameters
 from repro.errors import ParameterError
-from repro.poly.polynomial import Polynomial
+from repro.poly.polynomial import Polynomial, negacyclic_sums
 
 
 def _round_scale(value: int, numerator: int, denominator: int) -> int:
@@ -44,13 +44,17 @@ class Decryptor:
         """
         if ciphertext.params != self.params:
             raise ParameterError("ciphertext belongs to different parameters")
-        s = self.secret_key.poly
-        acc = ciphertext.polys[0]
-        s_power = None
-        for c_i in ciphertext.polys[1:]:
-            s_power = s if s_power is None else s_power * s
-            acc = acc + c_i * s_power
-        return acc.centered()
+        n, q = self.params.poly_degree, self.params.coeff_modulus
+        s = self.secret_key.poly.centered()
+        # Powers of the ternary ``s`` over Z stay small; the sum
+        # ``c_1*s + c_2*s^2 + ...`` then pays one inverse transform.
+        powers = [s]
+        for _ in ciphertext.polys[2:]:
+            powers.append(negacyclic_sums([[(powers[-1], s)]], n)[0])
+        (masked,) = negacyclic_sums(
+            [[(c_i.coeffs, s_i) for c_i, s_i in zip(ciphertext.polys[1:], powers)]], n
+        )
+        return (ciphertext.polys[0] + Polynomial(masked, q)).centered()
 
     def decrypt(self, ciphertext: Ciphertext) -> Plaintext:
         """Decrypt to a plaintext (correct while noise budget > 0)."""

@@ -9,7 +9,7 @@ from repro.core.keys import PublicKey, SecretKey
 from repro.core.params import BFVParameters
 from repro.errors import ParameterError
 from repro.obs.noise import get_noise_ledger
-from repro.poly.polynomial import Polynomial
+from repro.poly.polynomial import Polynomial, negacyclic_sums
 from repro.poly.sampling import sample_centered_binomial, sample_ternary
 
 
@@ -43,15 +43,20 @@ class Encryptor:
         n, q = params.poly_degree, params.coeff_modulus
         rng = self._rng
 
-        u = Polynomial(sample_ternary(n, rng), q)
+        u = sample_ternary(n, rng)
         e1 = Polynomial(sample_centered_binomial(n, rng, params.error_eta), q)
         e2 = Polynomial(sample_centered_binomial(n, rng, params.error_eta), q)
 
         scaled_m = Polynomial(plaintext.poly.centered(), q).scalar_mul(
             params.delta
         )
-        c0 = self.public_key.p0 * u + e1 + scaled_m
-        c1 = self.public_key.p1 * u + e2
+        # One product-sum: ``u`` (signed, so the bound stays small) is
+        # transformed once for both key components.
+        pk0_u, pk1_u = negacyclic_sums(
+            [[(self.public_key.p0.coeffs, u)], [(self.public_key.p1.coeffs, u)]], n
+        )
+        c0 = Polynomial(pk0_u, q) + e1 + scaled_m
+        c1 = Polynomial(pk1_u, q) + e2
         ciphertext = Ciphertext(params, (c0, c1))
         get_noise_ledger().stamp_fresh(ciphertext)
         return ciphertext

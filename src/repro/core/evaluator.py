@@ -8,10 +8,16 @@ plaintext operands, relinearization, squaring).
 
 Multiplication follows the textbook BFV construction: the ciphertexts'
 centered lifts are tensored **exactly over the integers** (no modular
-wrap — this is why :func:`repro.poly.polynomial.negacyclic_convolve`
-works over Z), each tensor component is scaled by ``t/q`` with
-rounding, and the resulting size-3 ciphertext is folded back to size 2
-with the relinearization key's base-``T`` digits.
+wrap — this is why :func:`repro.poly.polynomial.negacyclic_sums` works
+over Z), each tensor component is scaled by ``t/q`` with rounding, and
+the resulting size-3 ciphertext is folded back to size 2 with the
+relinearization key's base-``T`` digits.
+
+Each operation hands all its products to one ``negacyclic_sums`` call,
+the way SEAL keeps operands in the NTT domain: the four tensor
+operands are transformed once each and the cross term ``a0*b1 + a1*b0``
+adds in the NTT domain; relinearization's ``Σ rk0_i*u_i`` and
+``Σ rk1_i*u_i`` transform each digit once and invert once per sum.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from repro.core.keys import RelinKey
 from repro.core.params import BFVParameters
 from repro.errors import CiphertextError, ParameterError
 from repro.obs.noise import get_noise_ledger
-from repro.poly.polynomial import Polynomial, negacyclic_convolve
+from repro.poly.polynomial import Polynomial, negacyclic_sums
 
 
 def _round_scale_list(values, numerator: int, denominator: int) -> list:
@@ -193,15 +199,11 @@ class Evaluator:
         a0, a1 = (p.centered() for p in a.polys)
         b0, b1 = (p.centered() for p in b.polys)
 
-        d0 = negacyclic_convolve(a0, b0, n)
-        cross1 = negacyclic_convolve(a0, b1, n)
-        cross2 = negacyclic_convolve(a1, b0, n)
-        d1 = [x + y for x, y in zip(cross1, cross2)]
-        d2 = negacyclic_convolve(a1, b1, n)
-
-        polys = tuple(
-            Polynomial(_round_scale_list(d, t, q), q) for d in (d0, d1, d2)
+        tensor = negacyclic_sums(
+            [[(a0, b0)], [(a0, b1), (a1, b0)], [(a1, b1)]], n
         )
+
+        polys = tuple(Polynomial(_round_scale_list(d, t, q), q) for d in tensor)
         product = Ciphertext(params, polys)
         get_noise_ledger().record_op("multiply", product, (a, b))
         if relinearize and self.relin_key is not None:
@@ -211,8 +213,8 @@ class Evaluator:
     def square(self, a: Ciphertext, relinearize: bool = True) -> Ciphertext:
         """Homomorphic squaring — the variance workload's inner step.
 
-        Same construction as :meth:`multiply` with the symmetric tensor
-        (one fewer convolution: ``d1 = 2 * a0 * a1``).
+        Same construction as :meth:`multiply` with the symmetric tensor:
+        two operands to transform instead of four.
         """
         self._check(a)
         if a.size != 2:
@@ -221,12 +223,10 @@ class Evaluator:
         params = self.params
         n, q, t = params.poly_degree, params.coeff_modulus, params.plain_modulus
         a0, a1 = (p.centered() for p in a.polys)
-        d0 = negacyclic_convolve(a0, a0, n)
-        d1 = [2 * x for x in negacyclic_convolve(a0, a1, n)]
-        d2 = negacyclic_convolve(a1, a1, n)
-        polys = tuple(
-            Polynomial(_round_scale_list(d, t, q), q) for d in (d0, d1, d2)
+        tensor = negacyclic_sums(
+            [[(a0, a0)], [(a0, a1), (a1, a0)], [(a1, a1)]], n
         )
+        polys = tuple(Polynomial(_round_scale_list(d, t, q), q) for d in tensor)
         product = Ciphertext(params, polys)
         get_noise_ledger().record_op("square", product, (a,))
         if relinearize and self.relin_key is not None:
@@ -289,7 +289,9 @@ class Evaluator:
         The cubic component ``c2`` is split into base-``T`` digits
         ``c2 = sum_i T^i * u_i``; each digit is multiplied by the key
         pair encrypting ``T^i * s^2``, keeping the digit norms (and so
-        the added noise) bounded by ``T``.
+        the added noise) bounded by ``T``. The result is
+        ``(c0 + sum_i rk0_i * u_i, c1 + sum_i rk1_i * u_i)``, both sums
+        from one product-sum.
         """
         self._check(a)
         if self.relin_key is None:
@@ -302,7 +304,7 @@ class Evaluator:
             )
         self._guard_check("relinearize", (a,))
         params = self.params
-        q = params.coeff_modulus
+        n, q = params.poly_degree, params.coeff_modulus
         base_bits = self.relin_key.base_bits
         mask = (1 << base_bits) - 1
 
@@ -310,16 +312,22 @@ class Evaluator:
         digits = []
         remaining = list(c2.coeffs)
         for _ in range(self.relin_key.component_count):
-            digits.append(Polynomial([r & mask for r in remaining], q))
+            digits.append([r & mask for r in remaining])
             remaining = [r >> base_bits for r in remaining]
         if any(remaining):
             raise CiphertextError(
                 "relinearization digit count too small for modulus"
             )
-        new_c0, new_c1 = c0, c1
-        for digit, (rk0, rk1) in zip(digits, self.relin_key.pairs):
-            new_c0 = new_c0 + rk0 * digit
-            new_c1 = new_c1 + rk1 * digit
+        pairs = self.relin_key.pairs
+        key0, key1 = negacyclic_sums(
+            [
+                [(rk0.coeffs, digit) for (rk0, _), digit in zip(pairs, digits)],
+                [(rk1.coeffs, digit) for (_, rk1), digit in zip(pairs, digits)],
+            ],
+            n,
+        )
+        new_c0 = c0 + Polynomial(key0, q)
+        new_c1 = c1 + Polynomial(key1, q)
         result = Ciphertext(params, (new_c0, new_c1))
         get_noise_ledger().record_op("relinearize", result, (a,))
         return result

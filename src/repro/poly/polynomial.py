@@ -3,17 +3,21 @@
 :class:`Polynomial` is the coefficient-domain representation used by
 the functional BFV scheme. Coefficients are Python ints (the 109-bit
 security level does not fit native words), stored reduced to
-``[0, q)``.
+``[0, q)``: the public constructor reduces what it is given, while the
+ring operations, which reduce their own results, store them as they
+are.
 
 Negacyclic multiplication needs the *exact* integer product before
 modular reduction in two places: BFV ciphertext multiplication scales
 the tensor product by ``t/q`` over the rationals, and noise analysis
-reasons over ``Z``. :func:`negacyclic_convolve` therefore computes the
-convolution exactly over the integers — schoolbook for small degrees,
-and for large ones the RNS convolution of
-:func:`repro.poly.rns.exact_negacyclic`: negacyclic NTTs over a basis
-of 30-bit primes, recombined by CRT (the standard multiprecision
-convolution technique; both paths are cross-checked in the tests).
+reasons over ``Z``. :func:`negacyclic_sums` therefore computes sums
+of products exactly over the integers — schoolbook for small degrees,
+and for large ones the RNS product-sum of
+:func:`repro.poly.rns.exact_negacyclic_sums`: negacyclic NTTs over a
+basis of 30-bit primes, each operand transformed once and each sum
+added in the NTT domain, recombined by CRT (the standard
+multiprecision convolution technique; both paths are cross-checked in
+the tests). :func:`negacyclic_convolve` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import numbers
 
 from repro.errors import ParameterError
-from repro.poly.rns import exact_negacyclic
+from repro.poly.rns import exact_negacyclic_sums
 
 #: Degrees at or below this use schoolbook convolution; above, RNS-NTT.
 #: 64 keeps the crossover comfortably inside the regime where Python
@@ -48,23 +52,44 @@ def _schoolbook_negacyclic(a: list, b: list, n: int) -> list:
     return out
 
 
+def negacyclic_sums(sums: list, n: int) -> list:
+    """Exact sums of products ``Σ a·b`` mod ``x^n + 1``, over Z.
+
+    ``sums`` is a list of sums, each a list of ``(a, b)`` pairs of
+    integer coefficient lists of length ``n`` (signed ints allowed);
+    the result holds each sum's exact signed coefficients. Above
+    :data:`SCHOOLBOOK_MAX_DEGREE` this is
+    :func:`repro.poly.rns.exact_negacyclic_sums`, which transforms each
+    distinct operand once and adds every sum in the NTT domain.
+    """
+    if n <= 0 or n & (n - 1):
+        raise ParameterError(f"ring degree must be a power of two: {n}")
+    for terms in sums:
+        for a, b in terms:
+            if len(a) != n or len(b) != n:
+                raise ParameterError(
+                    f"operands must have length {n}, got {len(a)} and {len(b)}"
+                )
+    if n > SCHOOLBOOK_MAX_DEGREE:
+        return exact_negacyclic_sums(sums, n)
+    out = []
+    for terms in sums:
+        total = [0] * n
+        for a, b in terms:
+            total = [x + y for x, y in zip(total, _schoolbook_negacyclic(a, b, n))]
+        out.append(total)
+    return out
+
+
 def negacyclic_convolve(a: list, b: list, n: int) -> list:
     """Exact product of two integer polynomials mod ``x^n + 1``, over Z.
 
     Inputs are coefficient lists of length ``n`` (signed ints allowed);
     the result is the exact signed integer convolution — no modular
     reduction is applied, so the caller can scale or reduce as the
-    scheme requires.
+    scheme requires. It is the one-pair case of :func:`negacyclic_sums`.
     """
-    if len(a) != n or len(b) != n:
-        raise ParameterError(
-            f"operands must have length {n}, got {len(a)} and {len(b)}"
-        )
-    if n <= 0 or n & (n - 1):
-        raise ParameterError(f"ring degree must be a power of two: {n}")
-    if n <= SCHOOLBOOK_MAX_DEGREE:
-        return _schoolbook_negacyclic(a, b, n)
-    return exact_negacyclic(a, b, n)
+    return negacyclic_sums([[(a, b)]], n)[0]
 
 
 class Polynomial:
@@ -79,7 +104,7 @@ class Polynomial:
     def __init__(self, coeffs, modulus: int):
         if modulus < 2:
             raise ParameterError(f"modulus must be >= 2, got {modulus}")
-        coeffs = tuple(int(c) % modulus for c in coeffs)
+        coeffs = tuple([int(c) % modulus for c in coeffs])
         n = len(coeffs)
         if n == 0 or n & (n - 1):
             raise ParameterError(
@@ -89,6 +114,18 @@ class Polynomial:
         self.modulus = modulus
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _reduced(cls, coeffs: tuple, modulus: int) -> "Polynomial":
+        """Wrap a tuple already reduced into ``[0, modulus)``, unchecked.
+
+        Only the ring operations below use it, each on values it has
+        just reduced itself.
+        """
+        poly = object.__new__(cls)
+        poly.coeffs = coeffs
+        poly.modulus = modulus
+        return poly
 
     @classmethod
     def zero(cls, n: int, modulus: int) -> "Polynomial":
@@ -138,20 +175,20 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         q = self.modulus
-        return Polynomial(
-            [(x + y) % q for x, y in zip(self.coeffs, other.coeffs)], q
+        return Polynomial._reduced(
+            tuple([(x + y) % q for x, y in zip(self.coeffs, other.coeffs)]), q
         )
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         q = self.modulus
-        return Polynomial(
-            [(x - y) % q for x, y in zip(self.coeffs, other.coeffs)], q
+        return Polynomial._reduced(
+            tuple([(x - y) % q for x, y in zip(self.coeffs, other.coeffs)]), q
         )
 
     def __neg__(self) -> "Polynomial":
         q = self.modulus
-        return Polynomial([(-x) % q for x in self.coeffs], q)
+        return Polynomial._reduced(tuple([(-x) % q for x in self.coeffs]), q)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, numbers.Integral):
@@ -168,7 +205,7 @@ class Polynomial:
         """Multiply every coefficient by an integer scalar (mod q)."""
         q = self.modulus
         s = int(scalar) % q
-        return Polynomial([c * s % q for c in self.coeffs], q)
+        return Polynomial._reduced(tuple([c * s % q for c in self.coeffs]), q)
 
     # -- representation helpers ------------------------------------------
 

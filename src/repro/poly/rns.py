@@ -15,10 +15,13 @@ This module implements that representation for real:
 * :class:`RNSPolynomial` — a ring element stored as per-prime residue
   rows, with add/sub/negate/scalar ops and NTT-domain multiplication;
 * :class:`ConvolutionBasis` — the basis of 30-bit NTT primes behind
-  :func:`exact_negacyclic`, the exact big-integer convolution that
-  :func:`repro.poly.polynomial.negacyclic_convolve` runs for every
-  paper-sized ring. All ``k`` residue rows are transformed at once on
-  ``uint64`` and recombined with Garner's algorithm.
+  :func:`exact_negacyclic_sums`, the exact big-integer product-sum
+  that :func:`repro.poly.polynomial.negacyclic_sums` runs for every
+  paper-sized ring. All ``k`` residue rows of an operand are
+  transformed at once on ``uint64``, each distinct operand once per
+  call; each sum of products accumulates in the NTT domain and is
+  inverted and recombined with Garner's algorithm once.
+  :func:`exact_negacyclic` is its one-pair case.
 
 It is used three ways: as the functional engine of the CPU-SEAL
 backend, inside the exact big-integer convolution of the BFV scheme,
@@ -351,21 +354,71 @@ def _convolution_basis(n: int, count: int) -> ConvolutionBasis:
     return ConvolutionBasis(n, count)
 
 
-def exact_negacyclic(a: list, b: list, n: int) -> list:
-    """Exact negacyclic convolution over Z in the convolution basis.
+def exact_negacyclic_sums(sums: list, n: int) -> list:
+    """Each sum of products ``Σ a·b`` exactly over Z, modulo ``x^n + 1``.
 
-    ``|result coefficient| <= n * max|a| * max|b|``, so a basis whose
-    product ``Q`` covers twice that bound holds the signed result
-    exactly. Every residue row is transformed at once, multiplied
-    pointwise, inverted and recombined.
+    ``sums`` is a list of sums, each a list of ``(a, b)`` pairs of
+    signed coefficient lists of length ``n``; the result holds one
+    signed coefficient list per sum (all zeros for an empty sum).
+
+    ``|Σ a·b| <= Σ n * max|a| * max|b|``, so one basis whose product
+    covers twice the largest sum's bound holds every result exactly.
+    Each distinct operand (by identity) is reduced and transformed
+    once. The terms run in term-major order — every sum's first term,
+    then every sum's second — and an operand's transform is dropped
+    after its last use, so a key or digit shared by several sums is
+    held only while those sums need it. Each sum accumulates its
+    pointwise products in the NTT domain (each below ``p < 2^30``, so
+    ``uint64`` holds billions of them unreduced) and pays one inverse
+    transform and one recombination.
     """
-    max_a = max(max(a), -min(a))
-    max_b = max(max(b), -min(b))
-    basis = ConvolutionBasis.covering(n, 2 * n * max_a * max_b + 1)
-    fa = forward_rows(basis.residues(a, max_a.bit_length()), basis.contexts)
-    if b is a:
-        fb = fa
-    else:
-        fb = forward_rows(basis.residues(b, max_b.bit_length()), basis.contexts)
-    rows = inverse_rows(fa * fb % basis._p, basis.contexts)
-    return basis.compose_centered_rows(rows)
+    norms = {}
+    for terms in sums:
+        for pair in terms:
+            for x in pair:
+                if id(x) not in norms:
+                    norms[id(x)] = max(max(x), -min(x))
+    bound = max(
+        (sum(n * norms[id(a)] * norms[id(b)] for a, b in terms) for terms in sums),
+        default=0,
+    )
+    basis = ConvolutionBasis.covering(n, 2 * bound + 1)
+    order = [
+        (s, terms[j])
+        for j in range(max(map(len, sums), default=0))
+        for s, terms in enumerate(sums)
+        if j < len(terms)
+    ]
+    last_use = {id(x): step for step, (_, pair) in enumerate(order) for x in pair}
+    transforms = {}
+
+    def transform(x) -> np.ndarray:
+        key = id(x)
+        if key not in transforms:
+            rows = basis.residues(x, norms[key].bit_length())
+            transforms[key] = forward_rows(rows, basis.contexts)
+        return transforms[key]
+
+    acc = [None] * len(sums)
+    for step, (s, (a, b)) in enumerate(order):
+        product = transform(a) * transform(b) % basis._p
+        if acc[s] is None:
+            acc[s] = product
+        else:
+            acc[s] += product
+        for x in (a, b):
+            if last_use[id(x)] == step:
+                transforms.pop(id(x), None)
+    return [
+        [0] * n
+        if rows is None
+        else basis.compose_centered_rows(
+            inverse_rows(rows % basis._p, basis.contexts)
+        )
+        for rows in acc
+    ]
+
+
+def exact_negacyclic(a: list, b: list, n: int) -> list:
+    """Exact negacyclic convolution ``a·b`` over Z: the one-pair product-sum."""
+    return exact_negacyclic_sums([[(a, b)]], n)[0]

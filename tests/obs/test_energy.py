@@ -27,6 +27,7 @@ from repro.obs.gate import (
     render_check,
     write_doc,
 )
+from repro.obs.runident import git_sha
 from repro.pim.kernels import VecAddKernel
 from repro.pim.runtime import PIMRuntime
 
@@ -269,7 +270,8 @@ class TestEnergyCliEndToEnd:
         baseline = json.loads(open(paths["baseline"]).read())
         assert baseline["schema"] == en.SCHEMA_VERSION
         assert set(baseline["experiments"]) == {"fig1a"}
-        assert baseline["run_id"] and baseline["git_sha"]
+        assert baseline["run_id"]
+        assert baseline["git_sha"] == git_sha()
 
         assert self._energy("check", paths) == 0
         out = capsys.readouterr().out

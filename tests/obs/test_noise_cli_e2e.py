@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.harness.cli import EXIT_DATA, EXIT_ERROR, main
+from repro.obs.runident import git_sha
 
 
 @pytest.fixture()
@@ -49,7 +50,8 @@ class TestNoiseCliEndToEnd:
 
         baseline = json.loads(open(noise_paths["baseline"]).read())
         assert set(baseline["levels"]) == {"27", "54"}
-        assert baseline["run_id"] and baseline["git_sha"]
+        assert baseline["run_id"]
+        assert baseline["git_sha"] == git_sha()
 
         assert _noise("check", noise_paths) == 0
         out = capsys.readouterr().out

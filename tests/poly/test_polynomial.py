@@ -55,6 +55,39 @@ class TestConstruction:
         assert a != Polynomial([1, 2], 89)
 
 
+class TestTrustedConstructor:
+    """``+``, ``-``, negation and ``scalar_mul`` reduce their own results
+    and skip the constructor's re-reduction; each must still equal the
+    reducing constructor applied to the unreduced values."""
+
+    @staticmethod
+    def _same(fast, unreduced, q):
+        slow = Polynomial(unreduced, q)
+        assert fast == slow and hash(fast) == hash(slow)
+        assert type(fast.coeffs) is tuple
+        assert all(type(c) is int and 0 <= c < q for c in fast.coeffs)
+
+    @given(polys(), polys())
+    def test_add_and_sub(self, a, b):
+        self._same(a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)], Q)
+        self._same(a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)], Q)
+
+    @given(polys())
+    def test_negation(self, a):
+        self._same(-a, [-x for x in a.coeffs], Q)
+
+    @given(
+        polys(),
+        st.one_of(
+            st.integers(min_value=-3 * Q, max_value=3 * Q),
+            st.sampled_from([-Q - 1, -Q, -1, 0, Q, Q + 1, 2 * Q - 1, -(2**130)]),
+            st.integers(min_value=-(2**200), max_value=2**200),
+        ),
+    )
+    def test_scalar_mul(self, a, k):
+        self._same(a.scalar_mul(k), [x * k for x in a.coeffs], Q)
+
+
 class TestRingAxioms:
     @given(polys(), polys())
     def test_addition_commutative(self, a, b):
